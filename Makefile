@@ -41,7 +41,7 @@ perf-check:
 	$(PYTHON) tools/perf_check.py
 
 ## fast batch-evaluator gate: population-scoring exactness (bitwise vs
-## the interpreted evaluator, NumPy and fallback) + metaheuristic
+## the interpreted evaluator) + metaheuristic
 ## determinism; the full property suites run under `make test` anyway
 batch-check:
 	$(PYTHON) -m pytest tests/test_batch_properties.py tests/test_metaheuristic.py -x -q

@@ -76,35 +76,91 @@ from repro.runtime.trace import record_trace, to_chrome_trace
 from repro.sweep.runner import SPECS as _SPECS
 
 
+def _add_request_flags(
+    parser: argparse.ArgumentParser,
+    mapper: str,
+    app_group=None,
+    required: bool = False,
+    gpus: bool = True,
+    budget: bool = True,
+) -> None:
+    """Declare, once for every sub-command that takes them, the flags
+    that name a mapping request: ``--app --n [--gpus] --platform --spec
+    --partitioner --mapper --no-p2p [--budget]``.
+
+    ``mapper`` is the sub-command's default; ``app_group`` hosts
+    ``--app`` when it is one of several graph sources; ``gpus=False`` /
+    ``budget=False`` leave that flag undeclared (its value reads as
+    unset) where the sub-command has no use for it.
+    """
+    (app_group or parser).add_argument(
+        "--app", required=required,
+        help="bundled benchmark application "
+             f"({', '.join(sorted(APPS))}) or synth:<family>[;key=value...] "
+             "(seed via --n)",
+    )
+    parser.add_argument("--n", type=int, default=None, required=required,
+                        help="benchmark size parameter (with --app)")
+    if gpus:
+        parser.add_argument("--gpus", type=int, default=None,
+                            choices=(1, 2, 3, 4),
+                            help="reference-tree GPU count (default 1)")
+    else:
+        parser.set_defaults(gpus=None)
+    parser.add_argument("--platform", choices=PLATFORM_NAMES,
+                        help="named machine from the platform catalog "
+                             "(fixes the GPU count; see docs/PLATFORMS.md)")
+    parser.add_argument("--spec", choices=sorted(_SPECS), default="M2090")
+    parser.add_argument("--partitioner", choices=PARTITIONERS, default="ours")
+    parser.add_argument("--mapper", choices=MAPPERS, default=mapper)
+    if budget:
+        from repro.mapping.budget import BUDGET_TIERS
+
+        parser.add_argument("--budget", choices=sorted(BUDGET_TIERS),
+                            default="default",
+                            help="solve-budget tier (see docs/SERVICE.md)")
+    parser.add_argument("--no-p2p", action="store_true",
+                        help="route inter-GPU traffic through the host")
+
+
+def _gpu_count(args, parser: argparse.ArgumentParser, default: int = 1) -> int:
+    """The reference-tree GPU count the flags ask for; a ``--platform``
+    fixes the count itself, so the two flags are exclusive."""
+    if args.platform and args.gpus is not None:
+        parser.error("--platform fixes the GPU count; drop --gpus")
+    return args.gpus if args.gpus is not None else default
+
+
+def _request_from_args(args, parser: argparse.ArgumentParser, **scheduling):
+    """The validated :class:`~repro.service.MappingRequest` the shared
+    request flags name; ``scheduling`` adds the fields only ``repro
+    submit`` has flags for."""
+    from repro.service import MappingRequest
+
+    request = MappingRequest(
+        app=args.app, n=args.n, num_gpus=_gpu_count(args, parser),
+        platform=args.platform, spec=args.spec,
+        partitioner=args.partitioner, mapper=args.mapper,
+        budget=args.budget, peer_to_peer=not args.no_p2p, **scheduling,
+    )
+    try:
+        request.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return request
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-map",
         description="Map a stream graph onto a (simulated) multi-GPU machine.",
     )
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--app",
-        help="bundled benchmark application "
-             f"({', '.join(sorted(APPS))}) or synth:<family>[;key=value...] "
-             "(seed via --n)",
-    )
     source.add_argument("--graph", help="stream graph JSON file")
     source.add_argument(
         "--stream", help="stream-language source file (see repro.frontend)"
     )
-    parser.add_argument("--n", type=int, default=None,
-                        help="benchmark size parameter (with --app)")
-    parser.add_argument("--gpus", type=int, default=None,
-                        choices=(1, 2, 3, 4),
-                        help="reference-tree GPU count (default 1)")
-    parser.add_argument("--platform", choices=PLATFORM_NAMES,
-                        help="named machine from the platform catalog "
-                             "(fixes the GPU count; see docs/PLATFORMS.md)")
-    parser.add_argument("--spec", choices=sorted(_SPECS), default="M2090")
-    parser.add_argument("--partitioner", choices=PARTITIONERS, default="ours")
-    parser.add_argument("--mapper", choices=MAPPERS, default="ilp")
-    parser.add_argument("--no-p2p", action="store_true",
-                        help="route inter-GPU traffic through the host")
+    _add_request_flags(parser, mapper="ilp", app_group=source, budget=False)
     parser.add_argument("--emit-cuda", metavar="FILE",
                         help="write the generated CUDA program")
     parser.add_argument("--dot", metavar="FILE",
@@ -323,9 +379,7 @@ def synth_main(argv: Optional[List[str]] = None) -> int:
     parser = build_synth_parser()
     args = parser.parse_args(argv)
 
-    if args.platform and args.gpus is not None:
-        parser.error("--platform fixes the GPU count; drop --gpus")
-    num_gpus = args.gpus if args.gpus is not None else 2
+    num_gpus = _gpu_count(args, parser, default=2)
 
     if args.list_families:
         for family in synth.FAMILIES:
@@ -435,29 +489,11 @@ def synth_main(argv: Optional[List[str]] = None) -> int:
 
 
 def build_submit_parser() -> argparse.ArgumentParser:
-    from repro.mapping.budget import BUDGET_TIERS
-
     parser = argparse.ArgumentParser(
         prog="repro submit",
         description="Emit a canonical JSON-lines mapping-service request.",
     )
-    parser.add_argument("--app", required=True,
-                        help="bundled benchmark or synth:<family>[;k=v...]")
-    parser.add_argument("--n", type=int, required=True,
-                        help="benchmark size parameter")
-    parser.add_argument("--gpus", type=int, default=None,
-                        choices=(1, 2, 3, 4),
-                        help="reference-tree GPU count (default 1)")
-    parser.add_argument("--platform", choices=PLATFORM_NAMES,
-                        help="named machine (fixes the GPU count)")
-    parser.add_argument("--spec", choices=sorted(_SPECS), default="M2090")
-    parser.add_argument("--partitioner", choices=PARTITIONERS, default="ours")
-    parser.add_argument("--mapper", choices=MAPPERS, default="portfolio")
-    parser.add_argument("--budget", choices=sorted(BUDGET_TIERS),
-                        default="default",
-                        help="solve-budget tier (see docs/SERVICE.md)")
-    parser.add_argument("--no-p2p", action="store_true",
-                        help="route inter-GPU traffic through the host")
+    _add_request_flags(parser, mapper="portfolio", required=True)
     parser.add_argument("--seed", type=int, default=0,
                         help="simulator noise seed")
     parser.add_argument("--priority", type=int, default=0,
@@ -481,20 +517,10 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_submit_parser()
     args = parser.parse_args(argv)
-    if args.platform and args.gpus is not None:
-        parser.error("--platform fixes the GPU count; drop --gpus")
-    request = api.MappingRequest(
-        app=args.app, n=args.n,
-        num_gpus=args.gpus if args.gpus is not None else 1,
-        platform=args.platform, spec=args.spec,
-        partitioner=args.partitioner, mapper=args.mapper,
-        budget=args.budget, peer_to_peer=not args.no_p2p, seed=args.seed,
-        priority=args.priority, deadline_s=args.deadline, tag=args.tag,
+    request = _request_from_args(
+        args, parser, seed=args.seed, priority=args.priority,
+        deadline_s=args.deadline, tag=args.tag,
     )
-    try:
-        request.validate()
-    except ValueError as exc:
-        parser.error(str(exc))
     line = _json.dumps(api.request_to_json(request), sort_keys=True,
                        separators=(",", ":"))
     if args.to:
@@ -819,8 +845,6 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
 
 
 def build_remap_parser() -> argparse.ArgumentParser:
-    from repro.mapping.budget import BUDGET_TIERS
-
     parser = argparse.ArgumentParser(
         prog="repro remap",
         description="Repair a deployed mapping after a platform degrades "
@@ -841,13 +865,7 @@ def build_remap_parser() -> argparse.ArgumentParser:
     parser.add_argument("--emit-lines", metavar="FILE",
                         help="also write the scenario as service JSONL "
                              "remap lines (with --scenario)")
-    parser.add_argument("--app",
-                        help="bundled benchmark or synth:<family>[;k=v...] "
-                             "(direct mode)")
-    parser.add_argument("--n", type=int, default=None,
-                        help="benchmark size parameter (with --app)")
-    parser.add_argument("--platform", choices=PLATFORM_NAMES,
-                        help="named machine from the platform catalog")
+    _add_request_flags(parser, mapper="portfolio", gpus=False)
     parser.add_argument("--kill-gpu", type=int, action="append", default=[],
                         metavar="G", help="kill GPU G (repeatable)")
     parser.add_argument("--throttle", action="append", default=[],
@@ -858,18 +876,9 @@ def build_remap_parser() -> argparse.ArgumentParser:
                         metavar="GPU:FACTOR",
                         help="slow GPU's clock by FACTOR (repeatable; "
                              "needs a platform with per-GPU specs)")
-    parser.add_argument("--budget", choices=sorted(BUDGET_TIERS),
-                        default="default",
-                        help="solve-budget tier (see docs/SERVICE.md)")
     parser.add_argument("--alpha", type=float, default=None,
                         help="migration price in the repair objective "
                              "tmax + alpha*migration_bytes")
-    parser.add_argument("--spec", choices=sorted(_SPECS), default="M2090")
-    parser.add_argument("--partitioner", choices=PARTITIONERS, default="ours")
-    parser.add_argument("--mapper", choices=MAPPERS, default="portfolio",
-                        help="baseline mapper for the pristine machine")
-    parser.add_argument("--no-p2p", action="store_true",
-                        help="route inter-GPU traffic through the host")
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="stage-cache directory (front half replays)")
     return parser
@@ -886,7 +895,6 @@ def _parse_factor_arg(text: str, flag: str, parser):
 def remap_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``repro remap``."""
     from repro.gpu.delta import PlatformDelta
-    from repro.mapping.budget import SolveBudget
     from repro.sweep import StageCache
     from repro.synth.scenarios import (
         generate_scenario,
@@ -898,7 +906,6 @@ def remap_main(argv: Optional[List[str]] = None) -> int:
     parser = build_remap_parser()
     args = parser.parse_args(argv)
     cache = StageCache(args.cache_dir) if args.cache_dir else None
-    budget = SolveBudget.tier(args.budget)
 
     if args.check:
         report = repair_check(budget=args.budget, cache=cache)
@@ -945,14 +952,22 @@ def remap_main(argv: Optional[List[str]] = None) -> int:
         parser.error("direct mode needs at least one of --kill-gpu, "
                      "--throttle, --slow")
     from repro.flow import remap_stream_graph
+    from repro.mapping.repair import REPAIR_ALPHA
+    from repro.service.api import _flow_kwargs, build_request_graph
+    from repro.service.remap import RemapRequest
 
-    graph = build_app(args.app, args.n)
+    # the same request object, validated by the same rules, as a
+    # {"remap": ...} line on the wire
+    request = RemapRequest(
+        base=_request_from_args(args, parser), deltas=tuple(deltas),
+        alpha=args.alpha if args.alpha is not None else REPAIR_ALPHA,
+    )
+    graph = build_request_graph(request.base)
     try:
+        request.validate()
         out = remap_stream_graph(
-            graph, args.platform, deltas,
-            spec=_SPECS[args.spec], partitioner=args.partitioner,
-            mapper=args.mapper, peer_to_peer=not args.no_p2p,
-            alpha=args.alpha, solve_budget=budget, cache=cache,
+            graph, args.platform, deltas, alpha=request.alpha,
+            cache=cache, **_flow_kwargs(request.base),
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -994,8 +1009,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.platform and args.gpus is not None:
-        parser.error("--platform fixes the GPU count; drop --gpus")
+    num_gpus = _gpu_count(args, parser)
 
     if args.app:
         if args.n is None:
@@ -1015,10 +1029,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         graph = json_io.load(args.graph)
 
     topology = build_platform(args.platform) if args.platform else None
-    num_gpus = (
-        topology.num_gpus if topology is not None
-        else (args.gpus if args.gpus is not None else 1)
-    )
+    if topology is not None:
+        num_gpus = topology.num_gpus
     result = map_stream_graph(
         graph,
         num_gpus=num_gpus,

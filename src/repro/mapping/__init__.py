@@ -12,7 +12,7 @@
 * :mod:`repro.mapping.kernel` -- the compiled evaluation kernel
   (precomputed route tables, O(degree) incremental delta scoring),
 * :mod:`repro.mapping.batch` -- vectorized population scoring over the
-  kernel's tables (NumPy structure-of-arrays, pure-python fallback),
+  kernel's tables (NumPy structure-of-arrays),
 * :mod:`repro.mapping.metaheuristic` -- population simulated annealing
   on the batch evaluator (the portfolio's opt-in escape tier),
 * :mod:`repro.mapping.repair` -- incremental re-mapping after a

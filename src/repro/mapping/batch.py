@@ -6,9 +6,7 @@ cheap and :class:`~repro.mapping.kernel.DeltaEvaluator` made scoring one
 instead wants thousands of unrelated candidates priced per step.
 :class:`BatchEvaluator` lays the kernel's flattened edge / route /
 compute tables out as structure-of-arrays NumPy buffers and scores a
-whole population in a handful of vectorized passes; without NumPy it
-falls back to a pure-python loop over the same tables, so the dependency
-stays optional.
+whole population in a handful of vectorized passes.
 
 **Exactness invariant.**  ``batch_tmax`` is *bit-identical* to looping
 :meth:`~repro.mapping.problem.MappingProblem.tmax` — not approximately
@@ -33,8 +31,7 @@ interpreted evaluator's accumulation orders exactly:
   reciprocal), matching the scalar kernel ulp for ulp.
 
 ``tests/test_batch_properties.py`` fuzzes this equivalence across the
-named platforms, adversarial random float problems, and the
-NumPy-vs-fallback pair.
+named platforms and adversarial random float problems.
 
 >>> from repro.gpu.topology import default_topology
 >>> from repro.mapping.problem import MappingProblem
@@ -51,15 +48,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.mapping.kernel import EvalKernel, canonical_gpu_fold
+import numpy as np
+
+from repro.mapping.kernel import EvalKernel
 
 if TYPE_CHECKING:  # imported lazily: repro.synth pulls in the full flow
     from repro.synth.rng import SynthRng
 
-try:  # NumPy is optional: the fallback path keeps deps light
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via use_numpy=False
-    _np = None
+#: the NumPy handle under the name ``benchmarks/`` imports it by
+_np = np
 
 __all__ = [
     "BatchEvaluator",
@@ -74,31 +71,16 @@ DEFAULT_POPULATION = 256
 
 
 class BatchEvaluator:
-    """Structure-of-arrays population scorer over one compiled kernel.
+    """Structure-of-arrays population scorer over one compiled kernel."""
 
-    ``use_numpy`` selects the path: ``None`` (default) auto-detects,
-    ``True`` requires NumPy (raises if missing), ``False`` forces the
-    pure-python fallback — the property suite runs both and asserts
-    bitwise equality.  :attr:`vectorized` reports which path is live.
-    """
-
-    def __init__(
-        self, kernel: EvalKernel, use_numpy: Optional[bool] = None
-    ) -> None:
+    def __init__(self, kernel: EvalKernel) -> None:
         self.kernel = kernel
-        if use_numpy is None:
-            use_numpy = _np is not None
-        elif use_numpy and _np is None:
-            raise RuntimeError("NumPy requested but not importable")
-        self.vectorized = bool(use_numpy)
-        if self.vectorized:
-            self._build_tables()
+        self._build_tables()
 
     # ------------------------------------------------------------------
     # table construction (once per problem)
     # ------------------------------------------------------------------
     def _build_tables(self) -> None:
-        np = _np
         k = self.kernel
         G, L, P = k.num_gpus, k.num_links, k.num_partitions
         self._G, self._L, self._P = G, L, P
@@ -162,7 +144,6 @@ class BatchEvaluator:
         got = self._per_n.get(N)
         if got is not None:
             return got
-        np = _np
         G, S, SH = self._G, self._S, self._SH
         n = np.arange(N)
         off = n * self._stride
@@ -217,9 +198,6 @@ class BatchEvaluator:
         >>> BatchEvaluator(EvalKernel(p)).batch_tmax([[0, 1], [0, 0]])
         [2.0, 3.0]
         """
-        if not self.vectorized:
-            return [self._score_one(a) for a in assignments]
-        np = _np
         A = np.asarray(assignments, dtype=np.int64)
         if A.ndim != 2 and A.size == 0:
             return []
@@ -235,7 +213,6 @@ class BatchEvaluator:
         return self._batch_numpy(A).tolist()
 
     def _batch_numpy(self, A):
-        np = _np
         A = np.ascontiguousarray(A.T)  # (P, N): candidates are columns
         P, N = A.shape
         G, S, L, E = self._G, self._S, self._L, self._E
@@ -307,37 +284,6 @@ class BatchEvaluator:
         else:
             comm = np.zeros(N)
         return np.maximum(gpu_side, comm)
-
-    def _score_one(self, assignment: Sequence[int]) -> float:
-        """Pure-python fallback: same tables, same folds, no NumPy."""
-        kernel = self.kernel
-        assignment = list(assignment)
-        if len(assignment) != kernel.num_partitions:
-            raise ValueError(
-                "expected an N x num_partitions assignment matrix"
-            )
-        for gpu in assignment:
-            if not 0 <= gpu < kernel.num_gpus:
-                raise ValueError("GPU id out of range in population")
-        members: List[List[int]] = [[] for _ in range(kernel.num_gpus)]
-        for pid, gpu in enumerate(assignment):
-            members[gpu].append(pid)  # ascending pid by construction
-        gpu_side = 0.0
-        for gpu in range(kernel.num_gpus):
-            t = canonical_gpu_fold(
-                kernel.ptime_by_gpu[gpu].__getitem__, members[gpu]
-            )
-            if t > gpu_side:
-                gpu_side = t
-        comm = 0.0
-        latency = kernel.latency
-        bandwidth = kernel.bandwidth
-        for link, load in enumerate(kernel.link_loads(assignment)):
-            if load:
-                t = latency[link] + load / bandwidth[link]
-                if t > comm:
-                    comm = t
-        return max(gpu_side, comm)
 
 
 # ----------------------------------------------------------------------

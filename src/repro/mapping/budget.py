@@ -59,8 +59,7 @@ def normalize_wall_clock(value) -> Optional[float]:
     string-truthiness check as ``time_limit_s=0.0``, which the solver
     then silently ignored — while still perturbing every cache key that
     embeds :meth:`SolveBudget.key_parts`.  All wall-clock inputs (env
-    var, ``with_wall_clock``, the legacy ``time_limit_s=`` argument,
-    direct construction) funnel through here: ``None``, empty/blank
+    var, ``with_wall_clock``, direct construction) funnel through here: ``None``, empty/blank
     strings, and ``0`` all normalize to ``None`` (no limit); negative
     values are rejected.
 
@@ -135,8 +134,8 @@ class SolveBudget:
 
     def __post_init__(self) -> None:
         # one normalization point: every construction path (tiers, env
-        # var, with_wall_clock, legacy time_limit_s args, replace())
-        # lands here, so a zero cap can never leak into cache keys
+        # var, with_wall_clock, replace()) lands here, so a zero cap can
+        # never leak into cache keys
         object.__setattr__(
             self, "time_limit_s", normalize_wall_clock(self.time_limit_s)
         )

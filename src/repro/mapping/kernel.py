@@ -73,11 +73,11 @@ def canonical_gpu_fold(col, pids: Iterable[int], start: float = 0.0) -> float:
     GPU's time is the left fold of its members' times in **ascending
     partition id** order, which is the order the interpreted evaluator
     (:meth:`~repro.mapping.problem.MappingProblem.gpu_times`) feeds its
-    per-GPU accumulators.  Float sums do not commute, so every scoring
-    path — the delta evaluator's probes, its commit-time recomputes,
-    and the batch evaluator's pure-python fallback — must run this one
-    fold rather than re-deriving it; ``tests/test_batch_properties.py``
-    carries a mutation test that fails if the fold order ever changes.
+    per-GPU accumulators.  Float sums do not commute, so every scalar
+    scoring path — the delta evaluator's probes and its commit-time
+    recomputes — must run this one fold rather than re-deriving it;
+    ``tests/test_batch_properties.py`` carries a mutation test that
+    fails if the fold order ever changes.
 
     ``col`` maps a partition id to its time on the GPU in question
     (typically ``kernel.ptime_by_gpu[gpu].__getitem__``); ``pids`` must

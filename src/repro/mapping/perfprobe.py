@@ -215,22 +215,20 @@ def measure_batch_rates(
     matrix: the bar measures the evaluator, not Python-list conversion
     (callers that keep populations as lists pay roughly one extra
     scalar-loop candidate's worth of conversion per call).
-
-    Raises ``RuntimeError`` when NumPy is unavailable — the fallback
-    path is a correctness feature, not a perf claim, so there is no
-    ratio to measure (callers skip the gate instead).
     """
-    from repro.mapping.batch import BatchEvaluator, _np
+    import numpy as np
+
+    from repro.mapping.batch import BatchEvaluator
 
     rng = random.Random(seed)
     kernel = EvalKernel(problem)
-    evaluator = BatchEvaluator(kernel, use_numpy=True)
+    evaluator = BatchEvaluator(kernel)
     pop = [
         [rng.randrange(problem.num_gpus)
          for _ in range(problem.num_partitions)]
         for _ in range(population)
     ]
-    matrix = _np.asarray(pop, dtype=_np.int64)
+    matrix = np.asarray(pop, dtype=np.int64)
 
     def interp_loop():
         for candidate in pop:

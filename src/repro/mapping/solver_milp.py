@@ -22,10 +22,11 @@ scorer consistent.
 Work limits come from a :class:`~repro.mapping.budget.SolveBudget`: the
 default is a *deterministic* branch-and-bound node cap, so repeated
 solves of one instance return identical mappings regardless of machine
-load.  Wall-clock limits are opt-in (``budget.time_limit_s`` or the
-legacy ``time_limit_s`` argument).  A solve that hits its cap returns
-the incumbent with ``optimal=False``; a solve that hits the cap before
-*any* incumbent raises :class:`MilpNoIncumbent`.
+load.  Wall-clock limits are opt-in (``budget.time_limit_s``, which
+:meth:`SolveBudget.default` also fills from ``REPRO_MILP_TIME_LIMIT_S``).
+A solve that hits its cap returns the incumbent with ``optimal=False``;
+a solve that hits the cap before *any* incumbent raises
+:class:`MilpNoIncumbent`.
 
 Model assembly goes through the persistent compiled backend
 (:mod:`repro.mapping.milp_model`): the sparse model is compiled once
@@ -58,15 +59,9 @@ class MilpNoIncumbent(RuntimeError):
     """The MILP hit its budget before finding any feasible incumbent."""
 
 
-#: sentinel distinguishing "caller said nothing" from an explicit None
-_UNSET = object()
-
-
 def solve_milp(
     problem: MappingProblem,
-    time_limit_s=_UNSET,
     include_comm: bool = True,
-    mip_rel_gap: Optional[float] = None,
     budget: Optional[SolveBudget] = None,
     incumbent: Optional[Sequence[int]] = None,
     model_cache: Optional[MilpModelCache] = None,
@@ -78,9 +73,7 @@ def solve_milp(
     limits (node cap, gap, optional wall clock); omitted, it is
     :meth:`SolveBudget.default` — a deterministic node cap with *no*
     wall-clock limit, so back-to-back solves of the same instance are
-    bit-identical.  The legacy ``time_limit_s``/``mip_rel_gap``
-    arguments override the corresponding budget fields when given
-    explicitly.
+    bit-identical.
 
     The compiled model comes from ``model_cache`` (the process-wide
     :data:`~repro.mapping.milp_model.MODEL_CACHE` when omitted), so
@@ -112,13 +105,6 @@ def solve_milp(
         return make_result(problem, [0] * parts, "milp", True)
 
     budget = budget or SolveBudget.default()
-    if time_limit_s is not _UNSET:
-        budget = budget.with_wall_clock(time_limit_s)
-    if mip_rel_gap is not None:
-        from dataclasses import replace
-
-        budget = replace(budget, mip_rel_gap=mip_rel_gap)
-
     cache = model_cache if model_cache is not None else MODEL_CACHE
     model, _ = cache.get_or_compile(problem, include_comm)
     res = model.solve(problem, budget, incumbent=incumbent)

@@ -4,7 +4,9 @@ The serving layer the ROADMAP's production north star asks for, built
 from four pieces:
 
 * :mod:`repro.service.api` — the request model, canonical request keys,
-  and the JSON-lines wire format (``repro submit`` / ``repro serve``);
+  and the JSON-lines wire format (``repro submit`` / ``repro serve``):
+  :func:`parse_request_line` is the one decoder every transport uses,
+  for solve and remap lines alike;
 * :mod:`repro.service.queue` — a priority/FIFO work queue;
 * :mod:`repro.service.jobs` — the persistent job store (one job per
   canonical key; dedup is the storage layout);
@@ -13,7 +15,8 @@ from four pieces:
   always a valid best-so-far mapping;
 * :mod:`repro.service.server` — :class:`MappingService`, tying them
   together over worker threads (or a process pool) and a shared
-  :class:`~repro.sweep.StageCache`;
+  :class:`~repro.sweep.StageCache`; its one ``submit`` admits, dedups,
+  runs and accounts for both request kinds;
 * :mod:`repro.service.http` — the network front end (``/api/v1/solve``,
   ``/api/v1/remap``, ``/api/v1/batch``, ``/api/v1/jobs/<key>``,
   ``/metrics``, ``/healthz``), byte-identical to the stdio wire format;
@@ -51,7 +54,6 @@ from repro.service.admission import (
 from repro.service.api import (
     MappingRequest,
     parse_request_line,
-    parse_stream_line,
     request_from_json,
     request_key,
     request_to_json,
@@ -107,7 +109,6 @@ __all__ = [
     "TokenBucket",
     "WorkQueue",
     "parse_request_line",
-    "parse_stream_line",
     "remap_from_json",
     "remap_request_key",
     "remap_to_json",

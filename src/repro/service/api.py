@@ -30,13 +30,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import IO, List, Optional
+from typing import IO, List, Optional, Union
 
 from repro.apps.registry import build_app, is_known_app
 from repro.flow import MAPPERS, PARTITIONERS, topology_key_parts
 from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.stream_graph import StreamGraph
-from repro.mapping.budget import BUDGET_TIERS
+from repro.mapping.budget import BUDGET_TIERS, SolveBudget
 from repro.sweep.spec import SPECS
 
 
@@ -99,6 +99,33 @@ def build_request_graph(request: MappingRequest) -> StreamGraph:
     return build_app(request.app, request.n)
 
 
+def _base_request(request) -> MappingRequest:
+    """The plain request under a request of either kind — a remap wraps
+    the solve it repairs — carrying the budget tier, the scheduling
+    fields and the tag."""
+    return getattr(request, "base", request)
+
+
+def _flow_kwargs(request: MappingRequest, tier: Optional[str] = None) -> dict:
+    """The request's solver configuration as :mod:`repro.flow` keyword
+    arguments — shared by every executor (solve, remap, the CLI), so a
+    knob is translated in exactly one place.  ``tier`` overrides the
+    request's budget tier (the deadline downgrade path).
+
+    >>> kwargs = _flow_kwargs(MappingRequest(app="DES", n=4), tier="instant")
+    >>> kwargs["mapper"], kwargs["solve_budget"].name
+    ('portfolio', 'instant')
+    """
+    return {
+        "spec": SPECS[request.spec],
+        "partitioner": request.partitioner,
+        "mapper": request.mapper,
+        "peer_to_peer": request.peer_to_peer,
+        "seed": request.seed,
+        "solve_budget": SolveBudget.tier(tier or request.budget),
+    }
+
+
 def request_key(
     request: MappingRequest,
     graph_fp: Optional[str] = None,
@@ -149,11 +176,30 @@ def request_to_json(request: MappingRequest) -> dict:
     return asdict(request)
 
 
+#: wire type of every request field that is not a plain string, as
+#: (accepted types, what the error message calls them); ``bool`` is an
+#: ``int`` subclass in Python, so it is only accepted where listed
+_INTEGER = ((int,), "an integer")
+_NULLABLE_STRING = ((str, type(None)), "a string or null")
+_WIRE_TYPES = {
+    "n": _INTEGER,
+    "num_gpus": _INTEGER,
+    "seed": _INTEGER,
+    "priority": _INTEGER,
+    "deadline_s": ((int, float, type(None)), "a number or null"),
+    "peer_to_peer": ((bool,), "true or false"),
+    "platform": _NULLABLE_STRING,
+    "tag": _NULLABLE_STRING,
+}
+
+
 def request_from_json(payload: dict) -> MappingRequest:
     """Parse one wire-format request object.
 
     Unknown keys are rejected — a typoed knob must not silently become a
-    default solve.
+    default solve — and so are wrong-typed values: a field that reaches
+    the scheduler or the solver with the wrong type fails there, far
+    from the client that sent it.
 
     >>> request_from_json({"app": "DES", "n": 4}).mapper
     'portfolio'
@@ -161,6 +207,10 @@ def request_from_json(payload: dict) -> MappingRequest:
     Traceback (most recent call last):
         ...
     ValueError: unknown request field(s): gpus
+    >>> request_from_json({"app": "DES", "n": 4, "deadline_s": "soon"})
+    Traceback (most recent call last):
+        ...
+    ValueError: request field 'deadline_s' must be a number or null
     """
     known = {f.name for f in fields(MappingRequest)}
     unknown = sorted(set(payload) - known)
@@ -168,34 +218,30 @@ def request_from_json(payload: dict) -> MappingRequest:
         raise ValueError(f"unknown request field(s): {', '.join(unknown)}")
     if "app" not in payload or "n" not in payload:
         raise ValueError("request needs at least 'app' and 'n'")
+    for name, value in payload.items():
+        types, wanted = _WIRE_TYPES.get(name, ((str,), "a string"))
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise ValueError(f"request field {name!r} must be {wanted}")
     return MappingRequest(**payload)
 
 
-def parse_request_line(line: str) -> MappingRequest:
-    """Parse one JSONL request line.
-
-    >>> parse_request_line('{"app": "DES", "n": 4}').app
-    'DES'
-    """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad request line: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError("request line must be a JSON object")
-    return request_from_json(payload)
-
-
-def parse_stream_line(line: str):
-    """Parse one JSONL stream line into a request object.
+def parse_request_line(
+    line: str, remap: bool = False
+) -> Union[MappingRequest, "RemapRequest"]:
+    """Decode one JSONL request line — the only place a wire line is
+    parsed, whatever the transport.
 
     Returns a :class:`MappingRequest`, or — when the object carries a
     ``"remap"`` key — a :class:`~repro.service.remap.RemapRequest` (the
-    scenario-replay wire form).
+    scenario-replay wire form).  ``remap=True`` is the
+    ``POST /api/v1/remap`` route: there a bare object is read as the
+    inner remap form too.
 
-    >>> parse_stream_line('{"app": "DES", "n": 4}').app
+    >>> parse_request_line('{"app": "DES", "n": 4}').app
     'DES'
-    >>> parse_stream_line('{"remap": {"app": "DES", "n": 4, '
+    >>> parse_request_line('{"remap": {"app": "DES", "n": 4, '
     ...     '"platform": "host-star", '
     ...     '"deltas": [{"kind": "restore"}]}}').base.app
     'DES'
@@ -206,7 +252,8 @@ def parse_stream_line(line: str):
         raise ValueError(f"bad request line: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("request line must be a JSON object")
-    if "remap" in payload:
+    if remap or "remap" in payload:
+        # local import: remap builds on this module
         from repro.service.remap import remap_from_json
 
         return remap_from_json(payload)
@@ -216,6 +263,47 @@ def parse_stream_line(line: str):
 def response_to_line(response: dict) -> str:
     """Encode one response object as a JSONL line (no trailing newline)."""
     return json.dumps(response, sort_keys=True, separators=(",", ":"))
+
+
+def _parse_stream(in_fh: IO[str], strict: bool = False) -> List[object]:
+    """The parse phase of :func:`serve_stream`: one validated request
+    object — or one ``failed`` response placeholder — per request line
+    (blank and ``#`` comment lines are skipped)."""
+    parsed: List[object] = []
+    for lineno, line in enumerate(in_fh, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            request = parse_request_line(line)
+            request.validate()
+        except ValueError as exc:
+            if strict:
+                raise
+            parsed.append(
+                {"state": "failed", "error": f"line {lineno}: {exc}"}
+            )
+            continue
+        parsed.append(request)
+    return parsed
+
+
+def _answer_stream(parsed: List[object], out_fh: IO[str], service) -> int:
+    """The submit and write phases of :func:`serve_stream`."""
+    tickets = [
+        item if isinstance(item, dict) else service.submit(item)
+        for item in parsed
+    ]
+    failures = 0
+    for ticket in tickets:
+        if isinstance(ticket, dict):  # a parse failure placeholder
+            response = ticket
+        else:
+            response = ticket.response()
+        if response.get("state") != "done":
+            failures += 1
+        out_fh.write(response_to_line(response) + "\n")
+    return failures
 
 
 def serve_stream(
@@ -236,10 +324,9 @@ def serve_stream(
     the parse phase — before anything is submitted, so an invalid
     stream has no side effects.
 
-    A line whose object carries a ``"remap"`` key is a
-    :class:`~repro.service.remap.RemapRequest` (scenario replay); it is
-    routed through :meth:`~repro.service.server.MappingService.submit_remap`
-    and answered in the same stream, in the same input order.
+    Solve and remap lines (see :func:`parse_request_line`) mix freely:
+    both go through :meth:`~repro.service.server.MappingService.submit`
+    and are answered in the same stream, in the same input order.
 
     >>> import io
     >>> from repro.service.server import MappingService
@@ -251,39 +338,4 @@ def serve_stream(
     >>> failures, '"state":"done"' in out.getvalue()
     (0, True)
     """
-    # local import: remap builds on this module, so the dependency must
-    # not also run module-level in the other direction
-    from repro.service.remap import RemapRequest
-
-    parsed: List[object] = []  # request object | failure placeholder
-    for lineno, line in enumerate(in_fh, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            request = parse_stream_line(line)
-            request.validate()
-        except ValueError as exc:
-            if strict:
-                raise
-            parsed.append(
-                {"state": "failed", "error": f"line {lineno}: {exc}"}
-            )
-            continue
-        parsed.append(request)
-    tickets = [
-        item if isinstance(item, dict)
-        else service.submit_remap(item) if isinstance(item, RemapRequest)
-        else service.submit(item)
-        for item in parsed
-    ]
-    failures = 0
-    for ticket in tickets:
-        if isinstance(ticket, dict):  # a parse failure placeholder
-            response = ticket
-        else:
-            response = ticket.response()
-        if response.get("state") != "done":
-            failures += 1
-        out_fh.write(response_to_line(response) + "\n")
-    return failures
+    return _answer_stream(_parse_stream(in_fh, strict), out_fh, service)

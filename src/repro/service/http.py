@@ -44,7 +44,6 @@ b'{"status":"ok"}\\n'
 from __future__ import annotations
 
 import io
-import json
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -52,9 +51,11 @@ from typing import Optional
 
 from repro.service.admission import TIER_COST, AdmissionController
 from repro.service.api import (
+    _answer_stream,
+    _base_request,
+    _parse_stream,
     parse_request_line,
     response_to_line,
-    serve_stream,
 )
 
 #: largest accepted request body (a batch of ~50k request lines)
@@ -227,14 +228,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _json(self, status: int, payload: dict, headers=()) -> None:
-        body = (json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")) + "\n").encode()
+        body = (response_to_line(payload) + "\n").encode()
         self._respond(status, body, headers=headers)
 
     def _read_body(self) -> Optional[bytes]:
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
+            length = -1
+        if length < 0:
+            # a negative length would turn rfile.read() into read-to-EOF,
+            # which blocks on a keep-alive connection
             self._json(400, {"error": "bad Content-Length"})
             return None
         if length > MAX_BODY_BYTES:
@@ -288,10 +292,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
-        if self.path == "/api/v1/solve":
-            self._post_solve(body)
-        elif self.path == "/api/v1/remap":
-            self._post_remap(body)
+        if self.path in ("/api/v1/solve", "/api/v1/remap"):
+            self._post_request(body)
         elif self.path == "/api/v1/batch":
             self._post_batch(body)
         else:
@@ -308,22 +310,28 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._json(200, job.to_json())
 
-    def _post_solve(self, body: bytes) -> None:
-        """One request in, one response line out.
+    def _post_request(self, body: bytes) -> None:
+        """One request line in, one response line out — ``/api/v1/solve``
+        and ``/api/v1/remap`` alike.
 
-        The success body is exactly the line ``serve_stream`` would
-        write for the same request — ``response_to_line(response)``
-        plus a newline — which is what makes the byte-identity contract
-        hold by construction.
+        Either route takes either kind; ``/api/v1/remap`` additionally
+        reads a bare object as the inner remap form.  Admission-priced
+        by the request's budget tier.  The success body is exactly the
+        line ``serve_stream`` would write for the same request —
+        ``response_to_line(response)`` plus a newline — which is what
+        makes the byte-identity contract hold by construction.
         """
         try:
-            request = parse_request_line(body.decode("utf-8", "replace"))
+            request = parse_request_line(
+                body.decode("utf-8", "replace"),
+                remap=self.path == "/api/v1/remap",
+            )
             request.validate()
         except ValueError as exc:
             self._json(400, {"error": str(exc)})
             return
         verdict = self.admission.admit(
-            self._tenant(), budget=request.budget,
+            self._tenant(), budget=_base_request(request).budget,
             queue_depth=self.service.queue_depth(),
         )
         if not verdict.allowed:
@@ -331,41 +339,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             ticket = self.service.submit(request)
-        except BaseException as exc:  # submit raced a shutdown
-            self._refused(exc)
-            return
-        response = ticket.response()
-        self._respond(200, (response_to_line(response) + "\n").encode())
-
-    def _post_remap(self, body: bytes) -> None:
-        """One remap object in, one repaired-mapping line out.
-
-        Accepts the wrapped ``{"remap": {...}}`` wire form (and, for
-        convenience, the bare inner object).  Admission-priced by the
-        base request's budget tier like ``/api/v1/solve``; the success
-        body is byte-identical to the ``serve_stream`` response line
-        for the same remap line.
-        """
-        from repro.service.remap import remap_from_json
-
-        try:
-            payload = json.loads(body.decode("utf-8", "replace"))
-            if not isinstance(payload, dict):
-                raise ValueError("request line must be a JSON object")
-            request = remap_from_json(payload)
-            request.validate()
-        except ValueError as exc:
-            self._json(400, {"error": str(exc)})
-            return
-        verdict = self.admission.admit(
-            self._tenant(), budget=request.base.budget,
-            queue_depth=self.service.queue_depth(),
-        )
-        if not verdict.allowed:
-            self._shed(verdict)
-            return
-        try:
-            ticket = self.service.submit_remap(request)
         except BaseException as exc:  # draining, or submit raced one
             self._refused(exc)
             return
@@ -376,24 +349,17 @@ class _Handler(BaseHTTPRequestHandler):
         """A JSONL stream in, the ``serve_stream`` output stream out.
 
         The whole batch is admitted or shed as one unit: its token cost
-        is the sum of the per-line tier costs (malformed lines charge
+        is the sum of the per-request tier costs (unusable lines charge
         the minimum — they still cost a parse), so a batch cannot
         sidestep the per-request rate limit.
         """
-        text = body.decode("utf-8", "replace")
-        cost = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                payload = json.loads(line)
-                # remap lines nest the base fields under "remap"
-                inner = payload.get("remap", payload)
-                tier = inner.get("budget", "default")
-                cost += TIER_COST.get(tier, min(TIER_COST.values()))
-            except (ValueError, AttributeError):
-                cost += min(TIER_COST.values())
+        parsed = _parse_stream(io.StringIO(body.decode("utf-8", "replace")))
+        floor = min(TIER_COST.values())
+        cost = sum(
+            floor if isinstance(item, dict)
+            else TIER_COST[_base_request(item).budget]
+            for item in parsed
+        )
         verdict = self.admission.admit(
             self._tenant(), cost=float(cost),
             queue_depth=self.service.queue_depth(),
@@ -402,7 +368,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._shed(verdict)
             return
         out = io.StringIO()
-        serve_stream(io.StringIO(text), out, self.service)
+        _answer_stream(parsed, out, self.service)
         self._respond(200, out.getvalue().encode(),
                       content_type="application/x-ndjson")
 

@@ -14,8 +14,9 @@ base request fields plus ``deltas`` / ``old_assignment`` / ``alpha``::
                "deltas": [{"kind": "kill-gpu", "gpu": 1}]}}
 
 The same object is accepted as a ``serve_stream`` JSONL line and as the
-``POST /api/v1/remap`` body; responses use the ordinary response-line
-schema with repair provenance fields added.
+``POST /api/v1/remap`` body (both decoded by
+:func:`repro.service.api.parse_request_line`); responses use the
+ordinary response-line schema with repair provenance fields added.
 
 Identity is content-addressed like everything else:
 :func:`remap_request_key` digests the base request's canonical key plus
@@ -33,20 +34,18 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.gpu.delta import PlatformDelta, degrade_platform
-from repro.mapping.budget import SolveBudget
 from repro.mapping.repair import REPAIR_ALPHA
 from repro.service.api import (
     MappingRequest,
+    _flow_kwargs,
     build_request_graph,
     request_from_json,
     request_key,
     request_to_json,
 )
-from repro.sweep.spec import SPECS
 
 __all__ = [
     "RemapRequest",
-    "parse_remap_line",
     "remap_from_json",
     "remap_request_key",
     "remap_to_json",
@@ -176,23 +175,6 @@ def remap_from_json(payload: dict) -> RemapRequest:
     )
 
 
-def parse_remap_line(line: str) -> RemapRequest:
-    """Parse one JSONL remap line (the ``{"remap": ...}`` wire form).
-
-    >>> parse_remap_line('{"remap": {"app": "DES", "n": 4, '
-    ...     '"platform": "host-star", '
-    ...     '"deltas": [{"kind": "restore"}]}}').base.platform
-    'host-star'
-    """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad request line: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError("request line must be a JSON object")
-    return remap_from_json(payload)
-
-
 def solve_remap_request(request: RemapRequest, cache=None) -> dict:
     """Run one remap through the flow; returns the compact wire result.
 
@@ -219,14 +201,9 @@ def solve_remap_request(request: RemapRequest, cache=None) -> dict:
             list(request.old_assignment)
             if request.old_assignment is not None else None
         ),
-        spec=SPECS[base.spec],
-        partitioner=base.partitioner,
-        mapper=base.mapper,
-        peer_to_peer=base.peer_to_peer,
         alpha=request.alpha,
-        solve_budget=SolveBudget.tier(base.budget),
-        seed=base.seed,
         cache=cache,
+        **_flow_kwargs(base),
     )
     repair = out.repair
     return {

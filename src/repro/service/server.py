@@ -1,14 +1,23 @@
 """The mapping service: async request execution with deduplication.
 
 ``MappingService`` is the in-process serving layer over the Figure-3.1
-flow.  A submitted :class:`~repro.service.api.MappingRequest` travels:
+flow.  A request is data with a kind — a
+:class:`~repro.service.api.MappingRequest` (solve) or a
+:class:`~repro.service.remap.RemapRequest` (repair a deployed mapping on
+a degraded machine) — and both travel the same path through
+:meth:`MappingService.submit`; what differs per kind is one
+:data:`_KINDS` entry:
 
-1. **canonicalize** — :func:`~repro.service.api.request_key` reduces the
-   request to (graph fingerprint, platform content, solver config);
+1. **canonicalize** — the kind's key function
+   (:func:`~repro.service.api.request_key`,
+   :func:`~repro.service.remap.remap_request_key`) reduces the request
+   to (graph fingerprint, platform content, solver config[, degradation
+   context]);
 2. **dedup** — a key already DONE in the :class:`~repro.service.jobs.JobStore`
    answers instantly from the store; a key currently in flight shares
    the in-flight ticket (many submissions, one solve); everything else
-   becomes a new job on the :class:`~repro.service.queue.WorkQueue`;
+   becomes a new job — on the :class:`~repro.service.queue.WorkQueue`
+   for solves, run in the submitting thread for remaps;
 3. **execute** — worker threads drain the queue in priority order and
    run the flow (optionally on a process pool), with every pipeline
    stage cached in a shared :class:`~repro.sweep.StageCache`, so even
@@ -53,9 +62,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.flow import map_stream_graph
-from repro.mapping.budget import TIER_ORDER, SolveBudget
+from repro.mapping.budget import TIER_ORDER
 from repro.service.api import (
     MappingRequest,
+    _base_request,
+    _flow_kwargs,
     build_request_graph,
     request_key,
     request_to_json,
@@ -63,8 +74,13 @@ from repro.service.api import (
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobStore
 from repro.service.portfolio import tier_for_deadline
 from repro.service.queue import WorkQueue
+from repro.service.remap import (
+    RemapRequest,
+    remap_request_key,
+    remap_to_json,
+    solve_remap_request,
+)
 from repro.sweep.cache import StageCache
-from repro.sweep.spec import SPECS
 
 
 class ServiceError(RuntimeError):
@@ -94,14 +110,9 @@ def solve_request(
     flow = map_stream_graph(
         build_request_graph(request),
         num_gpus=request.num_gpus,
-        spec=SPECS[request.spec],
-        partitioner=request.partitioner,
-        mapper=request.mapper,
-        peer_to_peer=request.peer_to_peer,
         platform=request.platform,
-        seed=request.seed,
-        solve_budget=SolveBudget.tier(tier),
         cache=cache,
+        **_flow_kwargs(request, tier),
     )
     return {
         "assignment": list(flow.mapping.assignment),
@@ -215,9 +226,13 @@ class _LatencyHistogram:
 class _JobTicket:
     """The shared completion handle of one in-flight job."""
 
-    def __init__(self, key: str, request: MappingRequest) -> None:
+    def __init__(self, key: str, request, kind: "_Kind") -> None:
         self.key = key
+        #: the submitted request object, of either kind
         self.request = request
+        self.kind = kind
+        #: the plain request under it — budget tier and scheduling fields
+        self.base = _base_request(request)
         self.enqueued_at = time.monotonic()
         self._event = threading.Event()
         self.payload: Optional[dict] = None
@@ -344,24 +359,52 @@ class MappingService:
             thread.start()
 
     # ------------------------------------------------------------------
-    def submit(self, request: MappingRequest) -> Ticket:
-        """Submit one request; returns its :class:`Ticket` immediately.
+    def submit(self, request) -> Ticket:
+        """Submit one request of either kind; returns its :class:`Ticket`.
 
-        Duplicate requests (same canonical key) never solve twice: they
-        share the in-flight ticket or answer from the completed-job
-        store.  Only *canonical* completions serve as dedup sources — a
-        job that FAILED (a transient worker error, an expired deadline)
-        or whose solve was deadline-downgraded to a cheaper tier is
-        re-solved on the next submission rather than replayed.
+        A :class:`~repro.service.api.MappingRequest` is queued for the
+        workers and the ticket returns immediately; a
+        :class:`~repro.service.remap.RemapRequest` runs *in the calling
+        thread* before the ticket returns (see :data:`_KINDS`).
+        Everything else is one path.  Duplicate requests (same canonical
+        key) never solve twice: they share the in-flight ticket or
+        answer from the completed-job store.  Only *canonical*
+        completions serve as dedup sources — a job that FAILED (a
+        transient worker error, an expired deadline) or whose solve was
+        deadline-downgraded to a cheaper tier is re-solved on the next
+        submission rather than replayed.
+
+        Raises :class:`ServiceError` once the service is draining (the
+        HTTP tier maps that to 503 + ``Retry-After``); a refused request
+        leaves no job record and is not counted.
         """
         request.validate()
-        key = request_key(request, graph_fp=self._fingerprint(request))
+        kind = _KINDS[type(request)]
+        base = _base_request(request)
+        key = kind.key(request, graph_fp=self._fingerprint(base))
+        ticket, dedup = self._admit(key, request, kind)
+        if dedup is None:
+            if kind.inline:
+                self._run(ticket)
+            else:
+                self._enqueue(ticket)
+        return Ticket(ticket, dedup, base.tag)
+
+    def _admit(self, key: str, request, kind: "_Kind"):
+        """Resolve ``key`` to a job ticket: ``(ticket, dedup)`` where
+        ``dedup`` is ``"inflight"`` / ``"completed"`` for a duplicate,
+        or ``None`` for a new job the caller must now run."""
         with self._lock:
+            if self._draining:
+                raise ServiceError(
+                    f"service is draining: {kind.name} refused"
+                )
             self._stats.submitted += 1
             ticket = self._inflight.get(key)
             if ticket is not None:
                 self._stats.dedup_inflight += 1
-                return Ticket(ticket, "inflight", request.tag)
+                return ticket, "inflight"
+            ticket = _JobTicket(key, request, kind)
             job = self.store.get(key)
             # only canonical completions serve as dedup sources: the
             # structural `downgraded_from` marker (not the result
@@ -372,101 +415,28 @@ class MappingService:
                 job is not None
                 and job.state == DONE
                 and job.downgraded_from is None
-                and (job.result or {}).get("budget") == request.budget
+                and (job.result or {}).get("budget") == ticket.base.budget
             ):
                 self._stats.dedup_completed += 1
-                done = _JobTicket(key, request)
-                done.resolve(self._job_payload(job))
-                return Ticket(done, "completed", request.tag)
-            ticket = _JobTicket(key, request)
+                ticket.resolve(self._job_payload(job))
+                return ticket, "completed"
             self._inflight[key] = ticket
             self.store.put(Job(
-                key=key, request=request_to_json(request), state=QUEUED,
+                key=key, request=kind.to_json(request), state=QUEUED,
             ))
+        return ticket, None
+
+    def _enqueue(self, ticket: _JobTicket) -> None:
         try:
-            self._queue.put(ticket, priority=request.priority)
+            self._queue.put(ticket, priority=ticket.base.priority)
         except BaseException:
             # submit raced a shutdown: undo, and resolve the ticket as
             # failed — a duplicate may already be riding it, and an
             # unresolved ticket would block that rider's result() forever
-            with self._lock:
-                self._inflight.pop(key, None)
-                self._stats.failed += 1
-            error = "service shut down before the job was queued"
-            self.store.update(key, state=FAILED, error=error)
-            ticket.resolve({"state": FAILED, "error": error})
-            raise
-        return Ticket(ticket, None, request.tag)
-
-    def submit_remap(self, request) -> Ticket:
-        """Submit one :class:`~repro.service.remap.RemapRequest`.
-
-        Remaps share the service's dedup machinery — the content-addressed
-        :func:`~repro.service.remap.remap_request_key` (base request +
-        deltas + old assignment + alpha) dedups against in-flight and
-        completed remap jobs exactly like plain solves — but *execute
-        synchronously in the calling thread*: a repair is orders of
-        magnitude cheaper than the solve it repairs (the expensive
-        baseline replays from the stage cache), so queueing it behind
-        full solves would invert the service's latency story.  Raises
-        :class:`ServiceError` once the service is draining (the HTTP
-        tier maps that to 503 + ``Retry-After``).
-        """
-        from repro.service.remap import (
-            remap_request_key,
-            remap_to_json,
-            solve_remap_request,
-        )
-
-        request.validate()
-        key = remap_request_key(
-            request, graph_fp=self._fingerprint(request.base)
-        )
-        tag = request.base.tag
-        with self._lock:
-            if self._draining:
-                raise ServiceError("service is draining: remap refused")
-            self._stats.submitted += 1
-            ticket = self._inflight.get(key)
-            if ticket is not None:
-                self._stats.dedup_inflight += 1
-                return Ticket(ticket, "inflight", tag)
-            job = self.store.get(key)
-            if (
-                job is not None
-                and job.state == DONE
-                and job.downgraded_from is None
-                and (job.result or {}).get("budget") == request.base.budget
-            ):
-                self._stats.dedup_completed += 1
-                done = _JobTicket(key, request.base)
-                done.resolve(self._job_payload(job))
-                return Ticket(done, "completed", tag)
-            ticket = _JobTicket(key, request.base)
-            self._inflight[key] = ticket
-            self.store.put(Job(
-                key=key, request=remap_to_json(request), state=QUEUED,
-            ))
-        self.store.update(key, state=RUNNING)
-        started = time.monotonic()
-        try:
-            result = solve_remap_request(request, cache=self.cache)
-        except Exception as exc:  # the rider contract: always resolve
-            with self._lock:
-                self._stats.failed += 1
-                self._observe_latency(
-                    request.base.budget, time.monotonic() - started
-                )
-            self._finish(ticket, FAILED, solves=1,
-                         error=f"{type(exc).__name__}: {exc}")
-            return Ticket(ticket, None, tag)
-        with self._lock:
-            self._stats.solved += 1
-            self._observe_latency(
-                request.base.budget, time.monotonic() - started
+            self._abandon(
+                ticket, "service shut down before the job was queued"
             )
-        self._finish(ticket, DONE, solves=1, result=result)
-        return Ticket(ticket, None, tag)
+            raise
 
     def submit_many(self, requests) -> List[Ticket]:
         """Submit a batch; returns tickets in submission order.
@@ -539,11 +509,8 @@ class MappingService:
             for thread in self._threads:
                 thread.join()
         else:
-            error = "service shut down"
             for ticket in self._queue.drain():
-                with self._lock:
-                    self._stats.failed += 1
-                self._finish(ticket, FAILED, error=error)
+                self._abandon(ticket, "service shut down")
         if self._pool is not None:
             self._pool.shutdown(wait=wait)
         if self.cache.path is not None:
@@ -587,14 +554,15 @@ class MappingService:
         return {"state": FAILED, "error": job.error}
 
     def _effective_tier(self, ticket: _JobTicket) -> Optional[str]:
-        """The budget tier a dequeued job should solve under.
+        """The budget tier a job should solve under.
 
         ``None`` means the deadline already expired.  Without a
         deadline, the requested tier passes through untouched (the
-        deterministic path).
+        deterministic path) — as it does for inline kinds, which have no
+        queue to wait in.
         """
-        request = ticket.request
-        if request.deadline_s is None:
+        request = ticket.base
+        if ticket.kind.inline or request.deadline_s is None:
             return request.budget
         remaining = request.deadline_s - (time.monotonic() - ticket.enqueued_at)
         if remaining <= 0:
@@ -610,41 +578,43 @@ class MappingService:
             ticket = self._queue.get()
             if ticket is None:
                 return
-            self._run_job(ticket)
+            self._run(ticket)
 
-    def _run_job(self, ticket: _JobTicket) -> None:
-        tier = self._effective_tier(ticket)
-        if tier is None:
-            with self._lock:
-                self._stats.expired += 1
-                self._stats.failed += 1
-            self._finish(ticket, FAILED, solves=0,
-                         error="deadline expired in queue")
-            return
-        self.store.update(ticket.key, state=RUNNING)
-        started = time.monotonic()
+    def _run(self, ticket: _JobTicket) -> None:
+        """Run one admitted job to completion and account for it — in a
+        worker thread for queued kinds, in the submitter's for inline
+        ones.  Always resolves the ticket: an exception anywhere in here
+        must cost one FAILED job, never a worker thread or a rider
+        blocked on :meth:`Ticket.result`."""
+        base = ticket.base
+        tier, started = base.budget, None
         try:
-            if self._pool is not None:
-                payload = (
-                    request_to_json(ticket.request), tier, self.cache.path,
-                )
-                result = self._pool.submit(_process_worker, payload).result()
-            else:
-                result = self._solve(ticket.request, tier, self.cache)
-        except Exception as exc:  # a failed job must not kill the worker
+            tier = self._effective_tier(ticket)
+            if tier is None:
+                with self._lock:
+                    self._stats.expired += 1
+                    self._stats.failed += 1
+                self._finish(ticket, FAILED, solves=0,
+                             error="deadline expired in queue")
+                return
+            self.store.update(ticket.key, state=RUNNING)
+            started = time.monotonic()
+            result = ticket.kind.execute(self, ticket.request, tier)
+        except Exception as exc:
             with self._lock:
                 self._stats.failed += 1
-                self._observe_latency(tier, time.monotonic() - started)
-            self._finish(ticket, FAILED, solves=1,
+                if started is not None:
+                    self._observe_latency(tier, time.monotonic() - started)
+            self._finish(ticket, FAILED, solves=int(started is not None),
                          error=f"{type(exc).__name__}: {exc}")
             return
         with self._lock:
             self._stats.solved += 1
             self._observe_latency(tier, time.monotonic() - started)
-        downgraded = tier != ticket.request.budget
+        downgraded = tier != base.budget
         self._finish(
             ticket, DONE, solves=1, result=result,
-            downgraded_from=ticket.request.budget if downgraded else None,
+            downgraded_from=base.budget if downgraded else None,
         )
         if downgraded:
             # the answer is tainted for *this* key, but it is a genuine
@@ -653,9 +623,18 @@ class MappingService:
             # request dedups instead of re-solving
             self._store_effective_copy(ticket, tier, result)
         if self._progress is not None:
-            self._progress(
-                f"{ticket.request.app}/{ticket.request.n} [{tier}] done"
-            )
+            self._progress(f"{base.app}/{base.n} [{tier}] done")
+
+    def _solve_job(self, request: MappingRequest, tier: str) -> dict:
+        """The solve kind's executor: this thread, or the process pool."""
+        if self._pool is None:
+            return self._solve(request, tier, self.cache)
+        payload = (request_to_json(request), tier, self.cache.path)
+        return self._pool.submit(_process_worker, payload).result()
+
+    def _remap_job(self, request: RemapRequest, tier: str) -> dict:
+        """The remap kind's executor (a repair is cheap: never pooled)."""
+        return solve_remap_request(request, cache=self.cache)
 
     def _store_effective_copy(
         self, ticket: _JobTicket, tier: str, result: dict
@@ -665,7 +644,7 @@ class MappingService:
         untainted answer.  Existing or in-flight jobs win — this is a
         dedup bonus, never an overwrite."""
         effective = replace(
-            ticket.request, budget=tier,
+            ticket.base, budget=tier,
             deadline_s=None, priority=0, tag=None,
         )
         key = request_key(effective, graph_fp=self._fingerprint(effective))
@@ -686,8 +665,49 @@ class MappingService:
             hist = self._latency[tier] = _LatencyHistogram()
         hist.observe(seconds)
 
+    def _abandon(self, ticket: _JobTicket, error: str) -> None:
+        """Fail an admitted job that will never run (shutdown)."""
+        with self._lock:
+            self._stats.failed += 1
+        self._finish(ticket, FAILED, error=error)
+
     def _finish(self, ticket: _JobTicket, state: str, **fields) -> None:
         job = self.store.update(ticket.key, state=state, **fields)
         with self._lock:
             self._inflight.pop(ticket.key, None)
         ticket.resolve(self._job_payload(job))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything that differs between request kinds; the lifecycle in
+    :meth:`MappingService.submit` is otherwise one path."""
+
+    #: names the kind in a refusal message
+    name: str
+    #: ``(request, graph_fp=...)`` -> canonical content-addressed key
+    key: Callable[..., str]
+    #: request -> the wire object filed in the job record
+    to_json: Callable
+    #: ``(service, request, tier)`` -> compact wire result
+    execute: Callable[..., dict]
+    #: run in the submitting thread instead of on the worker queue.  An
+    #: inline kind never waits, so ``priority`` and ``deadline_s`` have
+    #: nothing to act on and are ignored.
+    inline: bool
+
+
+#: a repair is orders of magnitude cheaper than the solve it repairs
+#: (the expensive baseline replays from the stage cache), so queueing it
+#: behind full solves would invert the service's latency story: remaps
+#: run inline
+_KINDS = {
+    MappingRequest: _Kind(
+        name="solve", key=request_key, to_json=request_to_json,
+        execute=MappingService._solve_job, inline=False,
+    ),
+    RemapRequest: _Kind(
+        name="remap", key=remap_request_key, to_json=remap_to_json,
+        execute=MappingService._remap_job, inline=True,
+    ),
+}

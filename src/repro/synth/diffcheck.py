@@ -34,7 +34,7 @@ pass one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.flow import partition_stage, pdg_stage, profile_stage
@@ -239,16 +239,17 @@ def diffcheck_problem(
     try:
         # the differential check wants *proofs*, so the MILP runs under
         # the ample tier's large deterministic node cap (the default
-        # tier trades proofs on search-heavy instances for latency);
-        # the explicit gap/wall-clock arguments override budget fields
+        # tier trades proofs on search-heavy instances for latency),
+        # with the caller's gap and opt-in wall clock
         # the shared compiled-model cache pays off here too: the check
         # solves every corpus instance on the same platform, so the
         # per-signature model assembly is amortized across instances
         # that share a shape
-        milp = solve_milp(
-            problem, time_limit_s=milp_time_limit_s, mip_rel_gap=mip_rel_gap,
-            budget=SolveBudget.tier("ample"), model_cache=MODEL_CACHE,
+        budget = replace(
+            SolveBudget.tier("ample"), mip_rel_gap=mip_rel_gap,
+            time_limit_s=milp_time_limit_s,
         )
+        milp = solve_milp(problem, budget=budget, model_cache=MODEL_CACHE)
     except RuntimeError as exc:  # solver found nothing inside the limit
         report.skips.append(f"milp: no solution within limit ({exc})")
         milp = None

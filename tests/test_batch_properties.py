@@ -7,15 +7,14 @@ commute, so the vectorized path must replicate the interpreted fold
 order exactly — these tests pin that across the synthetic corpus x the
 full topology set (g2/g4 plus every named platform), across adversarial
 random heterogeneous trees with full-mantissa byte counts (where any
-reordering shows up in the last ulp), and between the NumPy path and
-the pure-python fallback.
+reordering shows up in the last ulp).
 
-The mutation test at the bottom guards the one shared accumulation
-helper (:func:`repro.mapping.kernel.canonical_gpu_fold`): replacing it
-with a reversed-order fold must make the delta scorer *and* the batch
-fallback visibly diverge from the interpreted evaluator — if that test
-ever stops failing under mutation, the fold order is no longer
-load-bearing and the exactness suite has lost its teeth.
+The mutation test at the bottom guards the scalar side's one
+accumulation helper (:func:`repro.mapping.kernel.canonical_gpu_fold`):
+replacing it with a reversed-order fold must make the delta scorer
+visibly diverge from the interpreted evaluator — if that test ever
+stops failing under mutation, the fold order is no longer load-bearing
+and the exactness suite has lost its teeth.
 
 ``TestBatchExactness`` + ``TestMoveGeneration`` + ``TestCanonicalFold``
 form the fast subset that ``make batch-check`` runs.
@@ -23,28 +22,24 @@ form the fast subset that ``make batch-check`` runs.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_kernel import _corpus_problems
 from test_platforms import random_hetero_topology, random_problem
 
-import repro.mapping.batch as batch_mod
 import repro.mapping.kernel as kernel_mod
 from repro.mapping.batch import (
     BatchEvaluator,
     apply_moves,
     kick_population,
     sample_moves,
-    _np,
 )
 from repro.mapping.kernel import DeltaEvaluator, EvalKernel
 from repro.mapping.problem import MappingProblem
 from repro.gpu.topology import default_topology
 from repro.synth.rng import SynthRng
-
-needs_numpy = pytest.mark.skipif(_np is None, reason="NumPy unavailable")
-
 
 @pytest.fixture(scope="module")
 def corpus_problems():
@@ -90,23 +85,9 @@ class TestBatchExactness:
                 problem.tmax(a) for a in pop
             ], seed
 
-    def test_fallback_matches_numpy(self, corpus_problems):
-        rng = random.Random(0xFA11)
-        for label, problem in corpus_problems[::5]:
-            kernel = EvalKernel(problem)
-            vec = BatchEvaluator(kernel)
-            plain = BatchEvaluator(kernel, use_numpy=False)
-            assert not plain.vectorized
-            pop = _random_population(problem, rng, 7)
-            assert vec.batch_tmax(pop) == plain.batch_tmax(pop), label
-
     def test_empty_population(self, corpus_problems):
         _label, problem = corpus_problems[0]
-        kernel = EvalKernel(problem)
-        for evaluator in (
-            BatchEvaluator(kernel), BatchEvaluator(kernel, use_numpy=False)
-        ):
-            assert evaluator.batch_tmax([]) == []
+        assert BatchEvaluator(EvalKernel(problem)).batch_tmax([]) == []
 
     def test_singleton_population(self, corpus_problems):
         for label, problem in corpus_problems[:3]:
@@ -128,54 +109,36 @@ class TestBatchExactness:
         for n in (33, 1, 4, 33, 1):  # revisit sizes in scrambled order
             assert evaluator.batch_tmax(pops[n]) == want[n], n
 
-    @needs_numpy
     def test_ndarray_input_accepted(self):
         problem = random_problem(random_hetero_topology(7), 7)
         evaluator = BatchEvaluator(EvalKernel(problem))
         pop = _random_population(problem, random.Random(7), 6)
-        matrix = _np.asarray(pop, dtype=_np.int64)
+        matrix = np.asarray(pop, dtype=np.int64)
         assert evaluator.batch_tmax(matrix) == evaluator.batch_tmax(pop)
 
     def test_shape_errors(self):
         problem = random_problem(random_hetero_topology(1), 1)
-        kernel = EvalKernel(problem)
-        for evaluator in (
-            BatchEvaluator(kernel), BatchEvaluator(kernel, use_numpy=False)
-        ):
-            bad_width = [[0] * (problem.num_partitions + 1)]
-            with pytest.raises(ValueError, match="num_partitions"):
-                evaluator.batch_tmax(bad_width)
+        evaluator = BatchEvaluator(EvalKernel(problem))
+        bad_width = [[0] * (problem.num_partitions + 1)]
+        with pytest.raises(ValueError, match="num_partitions"):
+            evaluator.batch_tmax(bad_width)
 
     def test_gpu_range_errors(self):
         problem = random_problem(random_hetero_topology(2), 2)
-        kernel = EvalKernel(problem)
-        for evaluator in (
-            BatchEvaluator(kernel), BatchEvaluator(kernel, use_numpy=False)
-        ):
-            bad = [[problem.num_gpus] * problem.num_partitions]
-            with pytest.raises(ValueError, match="out of range"):
-                evaluator.batch_tmax(bad)
-            neg = [[-1] * problem.num_partitions]
-            with pytest.raises(ValueError, match="out of range"):
-                evaluator.batch_tmax(neg)
-
-    @needs_numpy
-    def test_use_numpy_flag(self):
-        problem = random_problem(random_hetero_topology(4), 4)
-        kernel = EvalKernel(problem)
-        assert BatchEvaluator(kernel, use_numpy=True).vectorized
-        assert BatchEvaluator(kernel).vectorized
+        evaluator = BatchEvaluator(EvalKernel(problem))
+        bad = [[problem.num_gpus] * problem.num_partitions]
+        with pytest.raises(ValueError, match="out of range"):
+            evaluator.batch_tmax(bad)
+        neg = [[-1] * problem.num_partitions]
+        with pytest.raises(ValueError, match="out of range"):
+            evaluator.batch_tmax(neg)
 
 
 # ----------------------------------------------------------------------
 # hypothesis fuzz: arbitrary populations on a fixed adversarial problem
 # ----------------------------------------------------------------------
 _FUZZ_PROBLEM = random_problem(random_hetero_topology(11), 11)
-_FUZZ_KERNEL = EvalKernel(_FUZZ_PROBLEM)
-_FUZZ_EVALUATORS = (
-    BatchEvaluator(_FUZZ_KERNEL),
-    BatchEvaluator(_FUZZ_KERNEL, use_numpy=False),
-)
+_FUZZ_EVALUATOR = BatchEvaluator(EvalKernel(_FUZZ_PROBLEM))
 
 
 class TestBatchFuzz:
@@ -191,9 +154,9 @@ class TestBatchFuzz:
     )
     @settings(max_examples=60, deadline=None)
     def test_any_population_bit_identical(self, pop):
-        want = [_FUZZ_PROBLEM.tmax(a) for a in pop]
-        for evaluator in _FUZZ_EVALUATORS:
-            assert evaluator.batch_tmax(pop) == want
+        assert _FUZZ_EVALUATOR.batch_tmax(pop) == [
+            _FUZZ_PROBLEM.tmax(a) for a in pop
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -283,10 +246,8 @@ def _probe_divergence(problem):
 
 
 class TestCanonicalFold:
-    #: compute times whose left fold rounds differently in reverse —
-    #: both over the full list and over its 4-element prefix (the
-    #: per-GPU membership the batch fallback folds), so either scoring
-    #: path exposes a reordered fold in the last ulp
+    #: compute times whose left fold rounds differently in reverse, so
+    #: a reordered fold shows up in the last ulp
     _TIMES = [0.786, 0.3103, 0.4818, 0.5875, 0.909, 0.5096]
 
     def _problem(self):
@@ -302,9 +263,6 @@ class TestCanonicalFold:
         assert sum(self._TIMES) != _reversed_fold(
             self._TIMES.__getitem__, range(len(self._TIMES))
         )
-        assert sum(self._TIMES[:4]) != _reversed_fold(
-            self._TIMES.__getitem__, range(4)
-        )
 
     def test_score_move_exact_with_canonical_fold(self):
         assert _probe_divergence(self._problem()) == 0.0
@@ -319,13 +277,3 @@ class TestCanonicalFold:
             kernel_mod, "canonical_gpu_fold", _reversed_fold
         )
         assert _probe_divergence(self._problem()) > 0.0
-
-    def test_batch_fallback_mutant_fold_diverges(self, monkeypatch):
-        """The pure-python batch path shares the same helper."""
-        problem = self._problem()
-        want = [problem.tmax([0, 0, 0, 0, 1, 1])]
-        monkeypatch.setattr(
-            batch_mod, "canonical_gpu_fold", _reversed_fold
-        )
-        mutant = BatchEvaluator(EvalKernel(problem), use_numpy=False)
-        assert mutant.batch_tmax([[0, 0, 0, 0, 1, 1]]) != want

@@ -2,15 +2,21 @@
 contiguous splitting."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from repro.gpu.specs import LinkSpec
 from repro.gpu.topology import default_topology
+from repro.mapping.budget import SolveBudget
 from repro.mapping.greedy import contiguous_mapping, lpt_mapping
 from repro.mapping.problem import Broadcast, MappingProblem
 from repro.mapping.solver_bb import solve_branch_and_bound
 from repro.mapping.solver_milp import solve_milp
+
+#: the default node cap with a zero gap: brute-force comparisons want
+#: the optimum, not an answer within 1% of it
+GAP_FREE = replace(SolveBudget.tier("default"), mip_rel_gap=0.0)
 
 
 def _problem(times, edges=None, broadcasts=None, gpus=4, slowdown=None,
@@ -67,7 +73,7 @@ class TestBroadcastSemantics:
         group = Broadcast(src=0, nbytes=500_000.0, destinations=(1, 2, 3))
         times = [80_000.0, 50_000.0, 50_000.0, 50_000.0]
         p = _problem(times, broadcasts=[group], gpus=2)
-        res = solve_milp(p, mip_rel_gap=0.0)
+        res = solve_milp(p, budget=GAP_FREE)
         best, _ = _brute_force(p)
         assert res.tmax == pytest.approx(best, rel=1e-6)
 
@@ -108,14 +114,14 @@ class TestHeterogeneous:
 
     def test_solver_prefers_fast_gpu(self):
         p = _problem([100.0, 10.0], gpus=2, slowdown=[1.0, 4.0])
-        res = solve_milp(p, mip_rel_gap=0.0)
+        res = solve_milp(p, budget=GAP_FREE)
         assert res.assignment[0] == 0  # heavy partition on the fast GPU
 
     def test_milp_matches_brute_force_heterogeneous(self):
         times = [70_000.0, 50_000.0, 30_000.0, 20_000.0]
         edges = {(0, 1): 120_000.0, (1, 2): 60_000.0, (2, 3): 90_000.0}
         p = _problem(times, edges=edges, gpus=3, slowdown=[1.0, 1.5, 2.0])
-        res = solve_milp(p, mip_rel_gap=0.0)
+        res = solve_milp(p, budget=GAP_FREE)
         best, _ = _brute_force(p)
         assert res.tmax == pytest.approx(best, rel=1e-6)
 

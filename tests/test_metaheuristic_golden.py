@@ -8,9 +8,9 @@ file) for the pinned 30-instance corpus on three machines — the same
 
 The file is **never refreshed**: the solver is deterministic by
 contract (SplitMix64 RNG, absolute-round temperature schedule, batch
-scores bit-identical between the NumPy and pure-python paths), so any
-drift — a reordered RNG draw, a changed fold, a NumPy-vs-fallback
-divergence — is a bug, not a golden update; see docs/PERFORMANCE.md.
+scores bit-identical to the interpreted evaluator), so any drift — a
+reordered RNG draw, a changed fold — is a bug, not a golden update;
+see docs/PERFORMANCE.md.
 """
 
 import json
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.mapping.batch as batch_mod
 from repro.flow import partition_stage, pdg_stage, profile_stage
 from repro.gpu.platforms import build_platform
 from repro.gpu.topology import default_topology
@@ -89,16 +88,3 @@ def test_metaheuristic_answers_unchanged(golden, problems):
         assert stats["mh_rescores"] == want["mh_rescores"], label
         # the exact-accept contract, re-pinned on every golden combo
         assert got.tmax == problem.tmax(list(got.assignment)), label
-
-
-def test_fallback_path_matches_golden(golden, problems, monkeypatch):
-    """NumPy-vs-fallback equality at the solver level: with NumPy
-    force-hidden the whole trajectory must replay bit-identically."""
-    monkeypatch.setattr(batch_mod, "_np", None)
-    config = golden["config"]
-    for label in sorted(problems)[::17]:  # a cross-family spot sample
-        problem, order = problems[label]
-        want = golden["combos"][label]
-        got = _solve(problem, order, config)
-        assert list(got.assignment) == want["assignment"], label
-        assert got.tmax == want["tmax"], label

@@ -339,24 +339,25 @@ class TestDeterministicMilp:
         stats = dict(result.solve_stats)
         assert "milp_status" in stats
 
-    def test_legacy_wall_clock_argument_still_works(self):
+    def test_wall_clock_budget_still_solves(self):
         problem = MappingProblem(
             times=[5.0, 4.0], edges={}, host_io=[(0.0, 0.0)] * 2,
             topology=default_topology(2),
         )
-        result = solve_milp(problem, time_limit_s=5.0)
-        assert result.optimal
+        budget = SolveBudget.tier("default").with_wall_clock(5.0)
+        assert solve_milp(problem, budget=budget).optimal
 
     def test_zero_wall_clock_argument_means_unlimited(self):
-        """``time_limit_s=0`` through the legacy solver argument is the
-        no-limit solve, not a zero-second one (and not a distinct
-        budget): the solve must succeed and prove optimality."""
+        """A budget built with ``with_wall_clock(0)`` is the no-limit
+        solve, not a zero-second one (and not a distinct budget): the
+        solve must succeed and prove optimality."""
         problem = MappingProblem(
             times=[5.0, 4.0], edges={}, host_io=[(0.0, 0.0)] * 2,
             topology=default_topology(2),
         )
-        result = solve_milp(problem, time_limit_s=0)
-        assert result.optimal
+        budget = SolveBudget.tier("default").with_wall_clock(0)
+        assert budget == SolveBudget.tier("default")
+        assert solve_milp(problem, budget=budget).optimal
 
 
 class TestBranchAndBoundSeeding:

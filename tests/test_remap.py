@@ -130,8 +130,8 @@ class TestWireFormat:
 class TestServiceDedup:
     def test_duplicate_remaps_cost_one_solve(self):
         with MappingService(workers=2) as service:
-            first = service.submit_remap(_remap())
-            second = service.submit_remap(_remap())
+            first = service.submit(_remap())
+            second = service.submit(_remap())
             a, b = first.result(), second.result()
         assert a == b
         assert first.dedup is None
@@ -139,8 +139,8 @@ class TestServiceDedup:
 
     def test_different_deltas_do_not_dedup(self):
         with MappingService(workers=2) as service:
-            one = service.submit_remap(_remap())
-            other = service.submit_remap(
+            one = service.submit(_remap())
+            other = service.submit(
                 _remap(deltas=(PlatformDelta.kill_gpu(2),)))
             one.result(), other.result()
         assert one.key != other.key
@@ -151,7 +151,7 @@ class TestServiceDedup:
         service = MappingService(workers=1)
         service.shutdown(wait=True)
         with pytest.raises(ServiceError, match="draining"):
-            service.submit_remap(_remap())
+            service.submit(_remap())
 
 
 class TestHttpRemap:

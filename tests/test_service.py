@@ -15,11 +15,13 @@ import time
 import pytest
 
 from repro.cli import main as cli_main
+from repro.gpu import PlatformDelta
 from repro.service import (
     Job,
     JobStore,
     MappingRequest,
     MappingService,
+    RemapRequest,
     ServiceError,
     WorkQueue,
     parse_request_line,
@@ -216,6 +218,21 @@ class _CountingSolver:
         return {"app": request.app, "n": request.n, "budget": tier}
 
 
+def _both_kinds():
+    """One request of each kind: they share one ``submit`` path, so a
+    lifecycle guarantee pinned on one must hold for the other.  (Only
+    the solve kind runs through ``solve_fn``; a remap runs the real
+    repair, so the kind-agnostic evidence is ``service.stats()``.)"""
+    return [
+        MappingRequest(app="Bitonic", n=8, num_gpus=2, budget="instant"),
+        RemapRequest(
+            base=MappingRequest(app="Bitonic", n=8, platform="host-star",
+                                budget="instant"),
+            deltas=(PlatformDelta.kill_gpu(1),),
+        ),
+    ]
+
+
 class TestServiceDedup:
     def test_eight_concurrent_duplicates_cost_one_solve(self):
         """The acceptance pin: N duplicates -> 1 invocation, identical
@@ -238,33 +255,30 @@ class TestServiceDedup:
         assert [t.dedup for t in tickets] == [None] + ["inflight"] * 7
 
     def test_completed_jobs_dedup_from_the_store(self):
-        solver = _CountingSolver()
-        with MappingService(solve_fn=solver) as service:
-            request = MappingRequest(app="Bitonic", n=8, num_gpus=2)
-            first = service.submit(request)
-            first.result()  # wait for completion
-            again = service.submit(request)
-            assert again.result() == first.result()
-        assert len(solver.calls) == 1
-        assert service.stats().dedup_completed == 1
-        assert again.dedup == "completed"
+        for request in _both_kinds():
+            with MappingService(solve_fn=_CountingSolver()) as service:
+                first = service.submit(request)
+                first.result()  # wait for completion
+                again = service.submit(request)
+                assert again.result() == first.result()
+            stats = service.stats()
+            assert (stats.solved, stats.dedup_completed) == (1, 1)
+            assert again.dedup == "completed"
 
     def test_dedup_survives_a_service_restart(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        request = MappingRequest(app="Bitonic", n=8, num_gpus=2)
-        solver = _CountingSolver()
-        with MappingService(store=JobStore(store_dir),
-                            solve_fn=solver) as service:
-            service.submit(request).result()
-        assert len(solver.calls) == 1
+        for request in _both_kinds():
+            store_dir = str(tmp_path / type(request).__name__)
+            with MappingService(store=JobStore(store_dir),
+                                solve_fn=_CountingSolver()) as service:
+                service.submit(request).result()
+            assert service.stats().solved == 1
 
-        second_solver = _CountingSolver()
-        with MappingService(store=JobStore(store_dir),
-                            solve_fn=second_solver) as revived:
-            ticket = revived.submit(request)
-            ticket.result()
-        assert second_solver.calls == []
-        assert ticket.dedup == "completed"
+            with MappingService(store=JobStore(store_dir),
+                                solve_fn=_CountingSolver()) as revived:
+                ticket = revived.submit(request)
+                ticket.result()
+            assert revived.stats().solved == 0
+            assert ticket.dedup == "completed"
 
     def test_failed_jobs_do_not_poison_the_key(self):
         """A transient failure (worker error, expired deadline) must be
@@ -505,6 +519,18 @@ class TestServiceConcurrencyRegressions:
         release.set()
         assert running.result(timeout=10) == {"app": "Bitonic"}
         service.shutdown(wait=True)
+
+    def test_draining_service_refuses_without_a_job_record(self):
+        """A refused request was never accepted: no QUEUED-then-FAILED
+        job record, no counter moves — for either kind."""
+        for request in _both_kinds():
+            service = MappingService(workers=1)
+            service.shutdown(wait=True)
+            with pytest.raises(ServiceError, match="draining"):
+                service.submit(request)
+            assert len(service.store) == 0
+            stats = service.stats()
+            assert (stats.submitted, stats.failed) == (0, 0)
 
     def test_fingerprint_memo_is_lru_bounded(self, monkeypatch):
         """Regression: the graph-fingerprint memo grew without bound

@@ -1,6 +1,6 @@
 """Service-layer robustness: refusal parity, crash recovery, bad input.
 
-Three separate guarantees, one theme — a degraded service degrades
+Separate guarantees, one theme — a degraded service degrades
 *politely*:
 
 * **refusal parity** — every retryable refusal (429 shed, 503
@@ -13,20 +13,29 @@ Three separate guarantees, one theme — a degraded service degrades
   keys re-solve instead of crashing the service or shadowing the key;
 * **stream resilience** — one malformed JSONL line must cost exactly
   one error response: later lines still solve, and dedup state is not
-  poisoned by the garbage in between.
+  poisoned by the garbage in between;
+* **hostile input** — a wrong-typed wire field is refused at the
+  decoder, a job that raises anywhere still resolves its ticket and
+  leaves its worker alive, and a negative ``Content-Length`` answers
+  400 instead of parking a handler thread.
 """
 
 import io
 import json
 import os
+import socket
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
 
+import pytest
+
 from repro.service import (
     AdmissionController,
     JobStore,
+    MappingRequest,
     MappingService,
+    ServiceError,
     serve_http,
     serve_stream,
 )
@@ -190,3 +199,67 @@ class TestStreamResilience:
         assert responses[0]["result"] == responses[2]["result"]
         assert stats.solved == 1
         assert stats.submitted == 2
+
+
+# ----------------------------------------------------------------------
+# hostile input: wrong-typed fields, jobs that raise, negative lengths
+# ----------------------------------------------------------------------
+class TestHostileInput:
+    WRONG_TYPES = [
+        ("deadline_s", "soon"), ("n", "8"), ("num_gpus", True),
+        ("priority", 1.5), ("seed", None), ("peer_to_peer", "yes"),
+        ("tag", 5), ("platform", 3), ("budget", 0), ("app", ["Bitonic"]),
+    ]
+
+    def test_wrong_typed_fields_are_refused_not_run(self):
+        """One wrong-typed field (``"deadline_s": "soon"``) used to pass
+        validation and raise inside the worker loop, killing the thread
+        for good: with one worker, every later request hung."""
+        with MappingService(workers=1) as service:
+            with _server(service) as server:
+                url = server.url + "/api/v1/solve"
+                for field, value in self.WRONG_TYPES:
+                    line = json.dumps({**json.loads(SOLVE_LINE),
+                                       field: value})
+                    status, body, _ = _post(url, line.encode())
+                    assert status == 400, field
+                    assert field in json.loads(body)["error"]
+                    out = io.StringIO()
+                    assert serve_stream(
+                        io.StringIO(line + "\n"), out, service) == 1
+                    response = json.loads(out.getvalue())
+                    assert response["state"] == "failed"
+                    assert field in response["error"]
+                # nothing was admitted, and the next request is served
+                assert service.stats().submitted == 0
+                assert _post(url, SOLVE_LINE)[0] == 200
+
+    def test_a_job_that_raises_resolves_and_spares_the_worker(self):
+        """The rider contract: whatever raises while a job runs — here
+        the deadline arithmetic, on a request built past the decoder —
+        costs one FAILED job, never the worker or a blocked rider."""
+        bad = MappingRequest(app="Bitonic", n=8, num_gpus=2,
+                             budget="instant", deadline_s="soon")
+        with MappingService(workers=1) as service:
+            with pytest.raises(ServiceError, match="TypeError"):
+                service.submit(bad).result(timeout=30)
+            assert all(t.is_alive() for t in service._threads)
+            good = MappingRequest(app="Bitonic", n=8, num_gpus=2,
+                                  budget="instant")
+            assert service.submit(good).result(timeout=60)["tmax"] > 0
+        assert service.stats().failed == 1
+
+    def test_negative_content_length_is_400(self):
+        """``rfile.read(-1)`` reads to EOF, which on a keep-alive
+        connection means until the client hangs up."""
+        with MappingService() as service:
+            with _server(service) as server:
+                with socket.create_connection(
+                    ("127.0.0.1", server.port), timeout=10
+                ) as conn:
+                    conn.sendall(
+                        b"POST /api/v1/solve HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: -1\r\n\r\n"
+                    )
+                    status_line = conn.recv(4096).split(b"\r\n")[0]
+        assert status_line == b"HTTP/1.1 400 Bad Request"

@@ -10,9 +10,7 @@ asserts two ratios:
   per candidate before the compiled kernel existed;
 * :meth:`BatchEvaluator.batch_tmax` prices a population of
   ``BATCH_POPULATION`` candidates at least ``MIN_BATCH_RATIO`` times
-  faster than the interpreted per-candidate loop (skipped with a note
-  when NumPy is unavailable — the pure-python fallback is a correctness
-  feature, not a perf claim);
+  faster than the interpreted per-candidate loop;
 * rebinding a cached :class:`CompiledMilpModel` prepares a solver-ready
   MILP at least ``MIN_MILP_REUSE_RATIO`` times faster than the legacy
   per-solve rebuild, on the sweep-grid repeat shapes — the solve that
@@ -35,7 +33,6 @@ import sys
 
 def main() -> int:
     sys.path.insert(0, "src")
-    from repro.mapping.batch import _np
     from repro.mapping.perfprobe import (
         MIN_BATCH_RATIO,
         MIN_DELTA_RATIO,
@@ -60,23 +57,19 @@ def main() -> int:
         )
         if ratio < MIN_DELTA_RATIO:
             failures.append(f"{label}: delta only x{ratio:.1f} interpreted")
-    if _np is None:
-        print("  batch bar skipped: NumPy unavailable "
-              "(pure-python fallback carries no perf claim)")
-    else:
-        for label, problem in corpus:
-            rates = measure_batch_rates_gated(problem)
-            ratio = rates["batch_vs_interp"]
-            status = "ok" if ratio >= MIN_BATCH_RATIO else "FAIL"
-            print(
-                f"  {label:22s} interp {rates['interp_full_per_s']:9.0f}/s  "
-                f"batch {rates['batch_cand_per_s']:9.0f}/s  "
-                f"x{ratio:5.1f}  {status}"
+    for label, problem in corpus:
+        rates = measure_batch_rates_gated(problem)
+        ratio = rates["batch_vs_interp"]
+        status = "ok" if ratio >= MIN_BATCH_RATIO else "FAIL"
+        print(
+            f"  {label:22s} interp {rates['interp_full_per_s']:9.0f}/s  "
+            f"batch {rates['batch_cand_per_s']:9.0f}/s  "
+            f"x{ratio:5.1f}  {status}"
+        )
+        if ratio < MIN_BATCH_RATIO:
+            failures.append(
+                f"{label}: batch only x{ratio:.1f} interpreted"
             )
-            if ratio < MIN_BATCH_RATIO:
-                failures.append(
-                    f"{label}: batch only x{ratio:.1f} interpreted"
-                )
     for label, problem in milp_sweep_shapes():
         rates = measure_milp_reuse_rates_gated(problem)
         ratio = rates["reuse_vs_rebuild"]
