@@ -5,17 +5,13 @@ Measures, and records into ``BENCH_kernel.json`` at the repo root:
 * full-evaluation rates (interpreted evaluator vs ``EvalKernel``) and
   delta move-scan rates on the pinned quick corpus
   (:mod:`repro.mapping.perfprobe`, paper-scale P),
-* batch population-scoring rates (``BatchEvaluator.batch_tmax`` at the
-  metaheuristic tier's population size) against the interpreted
-  per-candidate loop on the same corpus,
 * branch-and-bound nodes/second and refine wall-clock over the pinned
   30-instance synthetic corpus x three machines — the same workload the
   pre-kernel stack was measured on, so the recorded
   ``pre_kernel_baseline`` numbers are directly comparable.
 
 Asserted bars are ratio-based only (stable on a loaded 1-core box):
-delta scoring >= 10x interpreted full evaluation, batch scoring >= 10x
-the interpreted per-candidate loop (skipped when NumPy is missing), and
+delta scoring >= 10x interpreted full evaluation, and
 the B&B search trees byte-match the golden corpus (node counts equal
 the pre-kernel solver's, so nodes/second is an apples-to-apples rate).
 """
@@ -29,12 +25,8 @@ from repro.gpu.platforms import build_platform
 from repro.gpu.topology import default_topology
 from repro.mapping.budget import SolveBudget
 from repro.mapping.greedy import lpt_mapping
-from repro.mapping.batch import _np
 from repro.mapping.perfprobe import (
-    BATCH_POPULATION,
-    MIN_BATCH_RATIO,
     MIN_DELTA_RATIO,
-    measure_batch_rates_gated,
     measure_eval_rates_gated,
     quick_corpus,
 )
@@ -84,10 +76,6 @@ def test_bench_kernel(benchmark):
         label: measure_eval_rates_gated(problem)
         for label, problem in quick_corpus()
     }
-    batch_rates = {
-        label: measure_batch_rates_gated(problem)
-        for label, problem in quick_corpus()
-    } if _np is not None else {}
 
     # -- solver rates on the pinned corpus (the baseline's workload);
     # best of two sweeps, like the eval rates, to shed background load --
@@ -123,11 +111,6 @@ def test_bench_kernel(benchmark):
     record = {
         "schema": "bench-kernel/v2",
         "quick_corpus": eval_rates,
-        "quick_corpus_batch": {
-            "population": BATCH_POPULATION,
-            "rates": batch_rates,
-            "numpy": _np is not None,
-        },
         "pinned_corpus": {
             "bb_nodes_total": bb_nodes,
             "bb_wall_s": bb_wall_s,
@@ -155,10 +138,6 @@ def test_bench_kernel(benchmark):
               f"kernel {rates['kernel_full_per_s']:9.0f}/s  "
               f"delta {rates['delta_move_per_s']:9.0f}/s  "
               f"(x{rates['delta_vs_interp']:.1f} interpreted)")
-    for label, rates in batch_rates.items():
-        print(f"{label:22s} batch {rates['batch_cand_per_s']:9.0f}/s "
-              f"at population {BATCH_POPULATION} "
-              f"(x{rates['batch_vs_interp']:.1f} interpreted loop)")
     print(f"pinned corpus: B&B {bb_nodes:.0f} nodes in {bb_wall_s:.2f}s = "
           f"{bb_nodes / bb_wall_s:.0f} nodes/s "
           f"(x{record['speedups_vs_pre_kernel']['bb_nodes_per_s']:.1f} "
@@ -168,8 +147,6 @@ def test_bench_kernel(benchmark):
     # ratio bars only — absolute rates are recorded, never asserted
     for label, rates in eval_rates.items():
         assert rates["delta_vs_interp"] >= MIN_DELTA_RATIO, (label, rates)
-    for label, rates in batch_rates.items():
-        assert rates["batch_vs_interp"] >= MIN_BATCH_RATIO, (label, rates)
     # node-for-node identical search trees vs the pre-kernel golden run,
     # so the nodes/second comparison above is apples to apples
     golden_path = (

@@ -16,8 +16,6 @@ paper's technique or the baselines it compares against:
                    ``"roundrobin"``            topological round-robin
                    ``"portfolio"``             anytime solver escalation
                                                (:mod:`repro.service.portfolio`)
-                   ``"metaheuristic"``         population annealing
-                                               (:mod:`repro.mapping.metaheuristic`)
 =================  ==========================  ===========================
 
 ``peer_to_peer=False`` additionally reroutes all inter-GPU traffic through
@@ -75,7 +73,7 @@ from repro.runtime.fragments import FragmentPlan
 
 PARTITIONERS = ("ours", "previous", "single", "perfilter")
 MAPPERS = (
-    "ilp", "ilp-nocomm", "lpt", "roundrobin", "portfolio", "metaheuristic",
+    "ilp", "ilp-nocomm", "lpt", "roundrobin", "portfolio",
 )
 
 
@@ -314,7 +312,7 @@ def mapping_stage(
     (assignment + score breakdown) is cacheable like the other stages.
 
     ``solve_budget`` injects a :class:`~repro.mapping.SolveBudget` into
-    the ``ilp``, ``portfolio``, and ``metaheuristic`` mappers.  A
+    the ``ilp`` and ``portfolio`` mappers.  A
     non-default budget enters
     the cache key (a small-budget incumbent and an ample-budget optimum
     are different results); the deterministic default tier keys like
@@ -333,7 +331,7 @@ def mapping_stage(
     key = None
     if cache is not None:
         budget_parts = {}
-        if mapper in ("ilp", "ilp-nocomm", "portfolio", "metaheuristic"):
+        if mapper in ("ilp", "ilp-nocomm", "portfolio"):
             resolved = (
                 solve_budget if solve_budget is not None
                 else SolveBudget.default()  # env opt-in applied here
@@ -482,8 +480,8 @@ def map_stream_graph(
     """Run the full mapping flow and simulate the pipelined execution.
 
     ``solve_budget`` bounds the mapping solve with a deterministic
-    :class:`~repro.mapping.SolveBudget` (``ilp``, ``portfolio``, and
-    ``metaheuristic`` mappers); omitted, the solvers use their default
+    :class:`~repro.mapping.SolveBudget` (``ilp`` and ``portfolio``
+    mappers); omitted, the solvers use their default
     budget — a
     deterministic node cap, wall-clock only via the
     ``REPRO_MILP_TIME_LIMIT_S`` opt-in.
@@ -699,13 +697,6 @@ def _solve(
             topo_order=pdg.topological_order(),
         )
         return answer.mapping
-    if mapper == "metaheuristic":
-        from repro.mapping.metaheuristic import solve_metaheuristic
-
-        return solve_metaheuristic(
-            problem, budget=solve_budget,
-            topo_order=pdg.topological_order(),
-        )
     if mapper == "ilp":
         try:
             # the process-wide compiled-model cache: sweep grids repeat

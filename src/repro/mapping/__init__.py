@@ -12,9 +12,8 @@
 * :mod:`repro.mapping.kernel` -- the compiled evaluation kernel
   (precomputed route tables, O(degree) incremental delta scoring),
 * :mod:`repro.mapping.batch` -- vectorized population scoring over the
-  kernel's tables (NumPy structure-of-arrays),
-* :mod:`repro.mapping.metaheuristic` -- population simulated annealing
-  on the batch evaluator (the portfolio's opt-in escape tier),
+  kernel's tables (NumPy structure-of-arrays; no solver uses it, the
+  benchmark's batch-throughput probe measures it),
 * :mod:`repro.mapping.repair` -- incremental re-mapping after a
   platform delta (seed from the old assignment, evict the stranded,
   polish under ``tmax + alpha * migration_bytes``),
@@ -36,7 +35,6 @@ from repro.mapping.kernel import (
     canonical_gpu_fold,
     compile_kernel,
 )
-from repro.mapping.metaheuristic import solve_metaheuristic
 from repro.mapping.milp_model import (
     MODEL_CACHE,
     CompiledMilpModel,
@@ -82,7 +80,6 @@ __all__ = [
     "refine_mapping",
     "round_robin_mapping",
     "solve_branch_and_bound",
-    "solve_metaheuristic",
     "solve_milp",
     "solve_repair",
     "translate_assignment",

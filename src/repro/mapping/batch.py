@@ -2,11 +2,12 @@
 
 :class:`~repro.mapping.kernel.EvalKernel` made scoring one assignment
 cheap and :class:`~repro.mapping.kernel.DeltaEvaluator` made scoring one
-*move* cheap; the metaheuristic tier (:mod:`repro.mapping.metaheuristic`)
-instead wants thousands of unrelated candidates priced per step.
-:class:`BatchEvaluator` lays the kernel's flattened edge / route /
+*move* cheap; :class:`BatchEvaluator` prices thousands of unrelated
+candidates at once.  It lays the kernel's flattened edge / route /
 compute tables out as structure-of-arrays NumPy buffers and scores a
-whole population in a handful of vectorized passes.
+whole population in a handful of vectorized passes.  No solver calls
+it; it stays only as the subject of the benchmark's
+``mapping.batch_cand_per_s`` probe.
 
 **Exactness invariant.**  ``batch_tmax`` is *bit-identical* to looping
 :meth:`~repro.mapping.problem.MappingProblem.tmax` — not approximately
@@ -46,28 +47,13 @@ True
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.mapping.kernel import EvalKernel
 
-if TYPE_CHECKING:  # imported lazily: repro.synth pulls in the full flow
-    from repro.synth.rng import SynthRng
-
-#: the NumPy handle under the name ``benchmarks/`` imports it by
-_np = np
-
-__all__ = [
-    "BatchEvaluator",
-    "apply_moves",
-    "kick_population",
-    "sample_moves",
-]
-
-#: the population size the vectorized path is tuned for (buffers are
-#: cached per size; other sizes work, they just build fresh buffers)
-DEFAULT_POPULATION = 256
+__all__ = ["BatchEvaluator"]
 
 
 class BatchEvaluator:
@@ -284,106 +270,3 @@ class BatchEvaluator:
         else:
             comm = np.zeros(N)
         return np.maximum(gpu_side, comm)
-
-
-# ----------------------------------------------------------------------
-# population move generation (deterministic, SynthRng-driven)
-# ----------------------------------------------------------------------
-def sample_moves(
-    population: Sequence[Sequence[int]],
-    num_gpus: int,
-    rng: SynthRng,
-    tabu: Optional[Sequence] = None,
-) -> List[Optional[Tuple[int, int]]]:
-    """One neighborhood move ``(pid, new_gpu)`` per candidate.
-
-    ``tabu`` supplies per-candidate masks (anything supporting ``in``,
-    e.g. a set of partition ids barred for that candidate); a tabu'd
-    draw retries a bounded number of times and yields ``None`` for that
-    candidate if every retry is barred, so the RNG stream length stays
-    bounded and deterministic.
-
-    >>> from repro.synth.rng import SynthRng
-    >>> rng = SynthRng("doc|sample")
-    >>> moves = sample_moves([[0, 1], [1, 0]], 2, rng)
-    >>> all(m is None or (0 <= m[0] < 2 and 0 <= m[1] < 2) for m in moves)
-    True
-    """
-    moves: List[Optional[Tuple[int, int]]] = []
-    for c, assignment in enumerate(population):
-        parts = len(assignment)
-        if parts == 0 or num_gpus < 2:
-            moves.append(None)
-            continue
-        barred = tabu[c] if tabu is not None else ()
-        chosen = None
-        for _attempt in range(4):
-            pid = rng.randint(0, parts - 1)
-            if pid in barred:
-                continue
-            gpu = rng.randint(0, num_gpus - 2)
-            if gpu >= assignment[pid]:
-                gpu += 1  # uniform over the *other* GPUs
-            chosen = (pid, gpu)
-            break
-        moves.append(chosen)
-    return moves
-
-
-def apply_moves(
-    population: Sequence[Sequence[int]],
-    moves: Sequence[Optional[Tuple[int, int]]],
-) -> List[List[int]]:
-    """The neighbor population: each candidate with its move applied.
-
-    ``None`` moves copy the candidate unchanged.  Inputs are never
-    mutated.
-
-    >>> apply_moves([[0, 0], [1, 1]], [(1, 1), None])
-    [[0, 1], [1, 1]]
-    """
-    out = []
-    for assignment, move in zip(population, moves):
-        neighbor = list(assignment)
-        if move is not None:
-            pid, gpu = move
-            neighbor[pid] = gpu
-        out.append(neighbor)
-    return out
-
-
-def kick_population(
-    population: Sequence[Sequence[int]],
-    num_gpus: int,
-    rng: SynthRng,
-    strength: int,
-    only: Optional[Sequence[int]] = None,
-) -> List[List[int]]:
-    """Crossover-free restarts: ``strength`` random reassignments each.
-
-    The classic iterated-local-search kick — enough randomness to leave
-    the current basin, no recombination, so candidates stay independent
-    walks.  ``only`` limits the kick to the listed candidate indices
-    (the stagnated ones); others are copied unchanged.  Deterministic:
-    the RNG is consumed in candidate order, kicked or not decided by
-    ``only`` alone.
-
-    >>> from repro.synth.rng import SynthRng
-    >>> rng = SynthRng("doc|kick")
-    >>> kicked = kick_population([[0, 0, 0]], 2, rng, strength=2)
-    >>> len(kicked[0])
-    3
-    """
-    chosen = set(range(len(population))) if only is None else set(only)
-    out = []
-    for c, assignment in enumerate(population):
-        neighbor = list(assignment)
-        if c in chosen and neighbor and num_gpus >= 2:
-            for _ in range(strength):
-                pid = rng.randint(0, len(neighbor) - 1)
-                gpu = rng.randint(0, num_gpus - 2)
-                if gpu >= neighbor[pid]:
-                    gpu += 1
-                neighbor[pid] = gpu
-        out.append(neighbor)
-    return out

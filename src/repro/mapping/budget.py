@@ -51,6 +51,9 @@ DEFAULT_MILP_NODE_LIMIT = 150
 #: environment variable restoring an (irreproducible) wall-clock limit
 WALL_CLOCK_ENV = "REPRO_MILP_TIME_LIMIT_S"
 
+#: retired metaheuristic knobs at zero: stored request/cache keys embed them
+_RETIRED_KEY_PARTS = {"mh_rounds": 0, "mh_population": 0, "mh_seed": 0}
+
 
 def normalize_wall_clock(value) -> Optional[float]:
     """Canonicalize a wall-clock cap: empty/zero mean *unset*.
@@ -123,14 +126,6 @@ class SolveBudget:
     use_bb: bool = True
     #: whether the portfolio runs the MILP stage
     use_milp: bool = True
-    #: metaheuristic-stage round cap; ``0`` (the default everywhere,
-    #: including every named tier) skips the stage, keeping existing
-    #: budgets, cache keys, and golden answers byte-identical
-    mh_rounds: int = 0
-    #: metaheuristic population size (``0`` skips the stage)
-    mh_population: int = 0
-    #: SplitMix64 seed token of the metaheuristic RNG stream
-    mh_seed: int = 0
 
     def __post_init__(self) -> None:
         # one normalization point: every construction path (tiers, env
@@ -198,7 +193,7 @@ class SolveBudget:
         >>> SolveBudget.tier("default").key_parts()["milp_node_limit"]
         150
         """
-        return asdict(self)
+        return {**asdict(self), **_RETIRED_KEY_PARTS}
 
 
 #: the portfolio's escalation ladder, cheapest first; each tier does a

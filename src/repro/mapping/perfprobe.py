@@ -30,15 +30,6 @@ from repro.mapping.problem import Broadcast, MappingProblem
 #: delta probes must beat interpreted full evaluation by this factor
 MIN_DELTA_RATIO = 10.0
 
-#: batch-evaluation bar: candidates/second through one
-#: :meth:`~repro.mapping.batch.BatchEvaluator.batch_tmax` call must beat
-#: the interpreted per-candidate loop by this factor
-MIN_BATCH_RATIO = 10.0
-
-#: population size the batch bar is measured at — the metaheuristic
-#: tier's working shape, and where the SoA layout amortizes best
-BATCH_POPULATION = 256
-
 #: MILP model-reuse bar: rebinding a cached compiled model must beat a
 #: full rebuild (the legacy row-by-row builder plus scipy's conversion
 #: to solver-ready arrays) by this factor.  The asserted ratio covers
@@ -195,61 +186,6 @@ def measure_eval_rates(
     }
 
 
-def measure_batch_rates(
-    problem: MappingProblem,
-    min_wall_s: float = 0.1,
-    seed: int = 0,
-    population: int = BATCH_POPULATION,
-) -> Dict[str, float]:
-    """Candidates/second of population scoring on one problem.
-
-    * ``batch_cand_per_s`` — one
-      :meth:`~repro.mapping.batch.BatchEvaluator.batch_tmax` call over a
-      ``population``-sized random assignment matrix, scaled to
-      per-candidate throughput;
-    * ``interp_full_per_s`` / ``kernel_full_per_s`` — the scalar loops
-      scoring the *same* population one candidate at a time;
-    * ``batch_vs_interp`` / ``batch_vs_kernel`` — the speedup ratios.
-
-    The population is handed to the batch path as a prebuilt int64
-    matrix: the bar measures the evaluator, not Python-list conversion
-    (callers that keep populations as lists pay roughly one extra
-    scalar-loop candidate's worth of conversion per call).
-    """
-    import numpy as np
-
-    from repro.mapping.batch import BatchEvaluator
-
-    rng = random.Random(seed)
-    kernel = EvalKernel(problem)
-    evaluator = BatchEvaluator(kernel)
-    pop = [
-        [rng.randrange(problem.num_gpus)
-         for _ in range(problem.num_partitions)]
-        for _ in range(population)
-    ]
-    matrix = np.asarray(pop, dtype=np.int64)
-
-    def interp_loop():
-        for candidate in pop:
-            problem.tmax(candidate)
-
-    def kernel_loop():
-        for candidate in pop:
-            kernel.full_tmax(candidate)
-
-    batch = _rate(lambda: evaluator.batch_tmax(matrix), min_wall_s)
-    interp = _rate(interp_loop, min_wall_s)
-    full = _rate(kernel_loop, min_wall_s)
-    return {
-        "batch_cand_per_s": batch * population,
-        "interp_full_per_s": interp * population,
-        "kernel_full_per_s": full * population,
-        "batch_vs_interp": batch / interp,
-        "batch_vs_kernel": batch / full,
-    }
-
-
 def milp_sweep_shapes() -> List[Tuple[str, MappingProblem]]:
     """Sweep-grid repeat shapes for the MILP model-reuse probe.
 
@@ -318,17 +254,6 @@ def measure_milp_reuse_rates_gated(
     rates = measure_milp_reuse_rates(problem)
     if rates["reuse_vs_rebuild"] < MIN_MILP_REUSE_RATIO:
         rates = measure_milp_reuse_rates(problem, min_wall_s=0.4)
-    return rates
-
-
-def measure_batch_rates_gated(
-    problem: MappingProblem, seed: int = 0
-) -> Dict[str, float]:
-    """:func:`measure_batch_rates` with the gate's one-retry policy
-    (same semantics as :func:`measure_eval_rates_gated`)."""
-    rates = measure_batch_rates(problem, seed=seed)
-    if rates["batch_vs_interp"] < MIN_BATCH_RATIO:
-        rates = measure_batch_rates(problem, min_wall_s=0.4, seed=seed)
     return rates
 
 

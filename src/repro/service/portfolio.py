@@ -1,16 +1,14 @@
-"""Anytime solver portfolio: greedy -> branch-and-bound -> MILP.
+"""Anytime solver portfolio: greedy -> refine -> branch-and-bound -> MILP.
 
 The mapping service must answer every request with a *valid* mapping no
 matter how little budget the caller grants, and must never answer worse
 for a *larger* budget.  The portfolio delivers both by escalating
 through the solver ladder under a :class:`~repro.mapping.SolveBudget`:
 
-1. **greedy** — LPT, round-robin, and contiguous-blocks heuristics plus
-   a bounded local-search polish: microseconds, always feasible;
-2. **metaheuristic** — population simulated annealing over the batch
-   evaluator (:mod:`repro.mapping.metaheuristic`), opt-in via the
-   budget's ``mh_rounds`` / ``mh_population`` knobs (zero in every
-   named tier), seeded with the refine incumbent;
+1. **greedy** — LPT, round-robin, and contiguous-blocks heuristics:
+   microseconds, always feasible;
+2. **refine** — a local-search polish of the greedy winner, capped at
+   ``budget.refine_steps`` steps;
 3. **branch-and-bound** — the from-scratch exact solver, seeded with the
    best incumbent so far and capped at ``budget.bb_node_limit`` nodes;
 4. **MILP** — the HiGHS backend under ``budget.milp_node_limit``.
@@ -96,7 +94,7 @@ def tier_for_deadline(remaining_s: float) -> str:
 class StageOutcome:
     """One portfolio stage's contribution."""
 
-    stage: str  #: "greedy", "refine", "metaheuristic", "branch-and-bound", or "milp"
+    stage: str  #: "greedy", "refine", "branch-and-bound", or "milp"
     solver: str  #: the winning backend's name for this stage
     tmax: float  #: the stage's own best objective (inf if it failed)
     optimal: bool  #: whether this stage *proved* optimality
@@ -242,36 +240,7 @@ def solve_portfolio(
             )
         )
 
-    # -- stage 3: metaheuristic population search -------------------------
-    # opt-in via the budget's mh knobs (zero in every named tier, so the
-    # pinned portfolio answers are untouched); seeded with the incumbent,
-    # so it can only improve on the refine stage
-    if budget.mh_rounds > 0 and budget.mh_population > 0 and not expired():
-        from repro.mapping.metaheuristic import solve_metaheuristic
-
-        mh = solve_metaheuristic(
-            problem, budget=budget, topo_order=topo_order,
-            incumbent=best.assignment, kernel=kernel,
-        )
-        consider(mh, "metaheuristic")
-        stages.append(
-            StageOutcome(
-                stage="metaheuristic", solver=mh.solver, tmax=mh.tmax,
-                optimal=False, ran=True,
-            )
-        )
-    else:
-        stages.append(
-            StageOutcome(
-                stage="metaheuristic", solver="metaheuristic",
-                tmax=float("inf"), optimal=False, ran=False,
-                note="skipped: no rounds budgeted"
-                if budget.mh_rounds <= 0 or budget.mh_population <= 0
-                else "skipped: deadline",
-            )
-        )
-
-    # -- stage 4: branch-and-bound incumbent improvement -----------------
+    # -- stage 3: branch-and-bound incumbent improvement -----------------
     if budget.use_bb and not expired():
         bb = solve_branch_and_bound(
             problem, budget=budget, incumbent=best.assignment, kernel=kernel
@@ -294,7 +263,7 @@ def solve_portfolio(
             )
         )
 
-    # -- stage 5: MILP ----------------------------------------------------
+    # -- stage 4: MILP ----------------------------------------------------
     if budget.use_milp and not certified() and not expired():
         try:
             # warm-start HiGHS from the best incumbent so far (a MIP

@@ -15,9 +15,6 @@ replacing it with a reversed-order fold must make the delta scorer
 visibly diverge from the interpreted evaluator — if that test ever
 stops failing under mutation, the fold order is no longer load-bearing
 and the exactness suite has lost its teeth.
-
-``TestBatchExactness`` + ``TestMoveGeneration`` + ``TestCanonicalFold``
-form the fast subset that ``make batch-check`` runs.
 """
 
 import random
@@ -30,16 +27,10 @@ from test_kernel import _corpus_problems
 from test_platforms import random_hetero_topology, random_problem
 
 import repro.mapping.kernel as kernel_mod
-from repro.mapping.batch import (
-    BatchEvaluator,
-    apply_moves,
-    kick_population,
-    sample_moves,
-)
+from repro.mapping.batch import BatchEvaluator
 from repro.mapping.kernel import DeltaEvaluator, EvalKernel
 from repro.mapping.problem import MappingProblem
 from repro.gpu.topology import default_topology
-from repro.synth.rng import SynthRng
 
 @pytest.fixture(scope="module")
 def corpus_problems():
@@ -156,63 +147,6 @@ class TestBatchFuzz:
     def test_any_population_bit_identical(self, pop):
         assert _FUZZ_EVALUATOR.batch_tmax(pop) == [
             _FUZZ_PROBLEM.tmax(a) for a in pop
-        ]
-
-
-# ----------------------------------------------------------------------
-# population move generation
-# ----------------------------------------------------------------------
-class TestMoveGeneration:
-    def test_sample_moves_deterministic_and_valid(self):
-        pop = [[0, 1, 2, 0], [2, 2, 1, 0], [0, 0, 0, 0]]
-        a = sample_moves(pop, 3, SynthRng("t|mv"))
-        b = sample_moves(pop, 3, SynthRng("t|mv"))
-        assert a == b
-        for c, move in enumerate(a):
-            assert move is not None
-            pid, gpu = move
-            assert 0 <= pid < 4 and 0 <= gpu < 3
-            assert gpu != pop[c][pid]  # always a real move
-
-    def test_sample_moves_respects_tabu(self):
-        pop = [[0, 1]] * 8
-        tabu = [{0, 1}, set()] * 4  # candidate 0/2/4/6 fully barred
-        moves = sample_moves(pop, 2, SynthRng("t|tabu"), tabu=tabu)
-        for c, move in enumerate(moves):
-            if c % 2 == 0:
-                assert move is None  # every pid barred -> bounded give-up
-            elif move is not None:
-                assert move[0] not in tabu[c]
-
-    def test_sample_moves_degenerate(self):
-        assert sample_moves([[]], 4, SynthRng("t|d1")) == [None]
-        assert sample_moves([[0, 0]], 1, SynthRng("t|d2")) == [None]
-
-    def test_apply_moves_copies(self):
-        pop = [[0, 0], [1, 1]]
-        out = apply_moves(pop, [(0, 1), None])
-        assert out == [[1, 0], [1, 1]]
-        assert pop == [[0, 0], [1, 1]]  # inputs untouched
-        assert out[1] is not pop[1]
-
-    def test_kick_population_only_and_deterministic(self):
-        pop = [[0] * 6, [1] * 6, [0] * 6]
-        a = kick_population(pop, 4, SynthRng("t|k"), strength=3, only=[1])
-        b = kick_population(pop, 4, SynthRng("t|k"), strength=3, only=[1])
-        assert a == b
-        assert a[0] == pop[0] and a[2] == pop[2]  # untouched candidates
-        assert a[1] != pop[1]  # strength-3 kick away from a uniform row
-        assert all(0 <= g < 4 for g in a[1])
-
-    def test_kick_population_scores_stay_exact(self):
-        problem = random_problem(random_hetero_topology(9), 9)
-        evaluator = BatchEvaluator(EvalKernel(problem))
-        pop = _random_population(problem, random.Random(9), 10)
-        kicked = kick_population(
-            pop, problem.num_gpus, SynthRng("t|ks"), strength=2
-        )
-        assert evaluator.batch_tmax(kicked) == [
-            problem.tmax(a) for a in kicked
         ]
 
 

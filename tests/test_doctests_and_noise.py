@@ -29,7 +29,6 @@ DOCTEST_MODULES = [
     "repro.mapping.budget",
     "repro.mapping.greedy",
     "repro.mapping.kernel",
-    "repro.mapping.metaheuristic",
     "repro.mapping.problem",
     "repro.mapping.refine",
     "repro.mapping.repair",

@@ -11,7 +11,8 @@ Pins the tentpole invariants of the warm-started MILP backend
   (assignment, tmax, node counts) under a fixed budget — model reuse
   must not change node ordering;
 * a warm-started capped solve never answers worse than the injected
-  incumbent;
+  incumbent — and, still broken and pinned ``xfail``, a *better*
+  incumbent never costs tmax or a proof;
 * the direct-HiGHS backend and the ``scipy.optimize.milp`` fallback
   agree on optimal instances;
 * the bounded cache is structurally keyed (numeric payload changes
@@ -26,11 +27,12 @@ import numpy as np
 import pytest
 from scipy.optimize._milp import _constraints_to_components
 
+from repro.apps import build_app
 from repro.flow import partition_stage, pdg_stage, profile_stage
 from repro.gpu.platforms import build_platform
 from repro.gpu.topology import default_topology
 from repro.mapping.budget import SolveBudget
-from repro.mapping.greedy import lpt_mapping
+from repro.mapping.greedy import contiguous_assignment, lpt_mapping
 from repro.mapping.milp_model import (
     CompiledMilpModel,
     MilpModelCache,
@@ -169,6 +171,36 @@ class TestSolveDeterminism:
             assert result.tmax <= problem.tmax(incumbent) * (1 + 1e-12), (
                 label, name,
             )
+
+    #: a 45259.552 incumbent for Bitonic:16 on the 4-GPU reference tree,
+    #: better than the greedy one; kept as a literal because the stage
+    #: that found it no longer exists
+    BETTER_INCUMBENT = (0, 0, 2, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+                        2, 2, 2, 2, 2, 2, 3, 2, 3, 3, 3, 3, 3, 3, 3, 0)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a better MIP start ends 'feasible' at the node cap where "
+               "the greedy start proves at the root (ROADMAP items 4a and "
+               "8; found by the retired metaheuristic stage)",
+    )
+    def test_better_incumbent_never_costs_tmax_or_the_proof(self):
+        """More help never hurts: warm-starting from a better incumbent
+        must not return a worse tmax or lose a proof the weaker start
+        reaches."""
+        graph = build_app("Bitonic", 16)
+        engine = profile_stage(graph)
+        partitions, partitioning = partition_stage(graph, engine)
+        pdg = pdg_stage(graph, partitions, engine, partitioning=partitioning)
+        problem = build_mapping_problem(pdg, 4, topology=_topology("g4"))
+        greedy = contiguous_assignment(problem, pdg.topological_order())
+        better = list(self.BETTER_INCUMBENT)
+        if not problem.tmax(better) < problem.tmax(greedy):
+            pytest.fail("the pinned incumbent no longer beats greedy")
+        weak = solve_milp(problem, budget=self.BUDGET, incumbent=greedy)
+        strong = solve_milp(problem, budget=self.BUDGET, incumbent=better)
+        assert strong.tmax <= weak.tmax
+        assert strong.optimal or not weak.optimal
 
     @pytest.mark.skipif(
         not highs_backend_available(),

@@ -794,6 +794,10 @@ class TestServiceCli:
         with pytest.raises(SystemExit):
             cli_main(["submit", "--app", "DES", "--n", "4", "--gpus", "2",
                       "--platform", "two-island"])
+        with pytest.raises(SystemExit):
+            cli_main(["submit", "--app", "DES", "--n", "4",
+                      "--mapper", "metaheuristic"])
+        assert "invalid choice: 'metaheuristic'" in capsys.readouterr().err
 
     def test_submit_to_file_then_serve(self, tmp_path, capsys):
         reqs = str(tmp_path / "reqs.jsonl")

@@ -209,6 +209,8 @@ class TestHostileInput:
         ("deadline_s", "soon"), ("n", "8"), ("num_gpus", True),
         ("priority", 1.5), ("seed", None), ("peer_to_peer", "yes"),
         ("tag", 5), ("platform", 3), ("budget", 0), ("app", ["Bitonic"]),
+        # a retired value is refused at the decoder exactly like a bad type
+        ("mapper", "metaheuristic"),
     ]
 
     def test_wrong_typed_fields_are_refused_not_run(self):

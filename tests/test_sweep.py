@@ -144,6 +144,31 @@ class TestCacheKeys:
         assert len(cache) == 2
         assert cache.stats().hits == 0
 
+    #: every tier's budget key parts, byte for byte as stored request
+    #: keys and mapping-stage cache keys embed them — never edit these
+    TIER_KEY_PARTS = {
+        "instant": '{"bb_node_limit": 20000, "mh_population": 0, "mh_rounds": 0, "mh_seed": 0, "milp_node_limit": 150, "mip_rel_gap": 0.01, "name": "instant", "refine_steps": 64, "time_limit_s": null, "use_bb": false, "use_milp": false}',
+        "small": '{"bb_node_limit": 20000, "mh_population": 0, "mh_rounds": 0, "mh_seed": 0, "milp_node_limit": 150, "mip_rel_gap": 0.01, "name": "small", "refine_steps": 64, "time_limit_s": null, "use_bb": true, "use_milp": false}',
+        "default": '{"bb_node_limit": 20000, "mh_population": 0, "mh_rounds": 0, "mh_seed": 0, "milp_node_limit": 150, "mip_rel_gap": 0.01, "name": "default", "refine_steps": 64, "time_limit_s": null, "use_bb": true, "use_milp": true}',
+        "ample": '{"bb_node_limit": 2000000, "mh_population": 0, "mh_rounds": 0, "mh_seed": 0, "milp_node_limit": 200000, "mip_rel_gap": 0.0, "name": "ample", "refine_steps": 256, "time_limit_s": null, "use_bb": true, "use_milp": true}',
+    }
+
+    def test_budget_key_parts_are_byte_stable(self):
+        """The wire golden pins request keys for two tiers only; this
+        pins the budget half of every key for all four, so a changed
+        ``SolveBudget`` field cannot silently orphan stored jobs and
+        cache entries."""
+        import json
+
+        from repro.mapping.budget import TIER_ORDER, SolveBudget
+
+        assert set(TIER_ORDER) == set(self.TIER_KEY_PARTS)
+        for tier in TIER_ORDER:
+            parts = SolveBudget.tier(tier).key_parts()
+            assert json.dumps(parts, sort_keys=True) == (
+                self.TIER_KEY_PARTS[tier]
+            ), tier
+
 
 # ----------------------------------------------------------------------
 # cached replay correctness

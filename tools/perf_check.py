@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Perf gate: delta scoring and batch scoring must clear their bars.
+"""Perf gate: delta scoring and MILP model reuse must clear their bars.
 
 Runs the pinned quick corpus (:mod:`repro.mapping.perfprobe`) and
 asserts two ratios:
@@ -8,9 +8,6 @@ asserts two ratios:
   scans at least ``MIN_DELTA_RATIO`` times faster than the interpreted
   evaluator (:meth:`MappingProblem.tmax`) — the cost every solver paid
   per candidate before the compiled kernel existed;
-* :meth:`BatchEvaluator.batch_tmax` prices a population of
-  ``BATCH_POPULATION`` candidates at least ``MIN_BATCH_RATIO`` times
-  faster than the interpreted per-candidate loop;
 * rebinding a cached :class:`CompiledMilpModel` prepares a solver-ready
   MILP at least ``MIN_MILP_REUSE_RATIO`` times faster than the legacy
   per-solve rebuild, on the sweep-grid repeat shapes — the solve that
@@ -34,10 +31,8 @@ import sys
 def main() -> int:
     sys.path.insert(0, "src")
     from repro.mapping.perfprobe import (
-        MIN_BATCH_RATIO,
         MIN_DELTA_RATIO,
         MIN_MILP_REUSE_RATIO,
-        measure_batch_rates_gated,
         measure_eval_rates_gated,
         measure_milp_reuse_rates_gated,
         milp_sweep_shapes,
@@ -45,8 +40,7 @@ def main() -> int:
     )
 
     failures = []
-    corpus = quick_corpus()
-    for label, problem in corpus:
+    for label, problem in quick_corpus():
         rates = measure_eval_rates_gated(problem)
         ratio = rates["delta_vs_interp"]
         status = "ok" if ratio >= MIN_DELTA_RATIO else "FAIL"
@@ -57,19 +51,6 @@ def main() -> int:
         )
         if ratio < MIN_DELTA_RATIO:
             failures.append(f"{label}: delta only x{ratio:.1f} interpreted")
-    for label, problem in corpus:
-        rates = measure_batch_rates_gated(problem)
-        ratio = rates["batch_vs_interp"]
-        status = "ok" if ratio >= MIN_BATCH_RATIO else "FAIL"
-        print(
-            f"  {label:22s} interp {rates['interp_full_per_s']:9.0f}/s  "
-            f"batch {rates['batch_cand_per_s']:9.0f}/s  "
-            f"x{ratio:5.1f}  {status}"
-        )
-        if ratio < MIN_BATCH_RATIO:
-            failures.append(
-                f"{label}: batch only x{ratio:.1f} interpreted"
-            )
     for label, problem in milp_sweep_shapes():
         rates = measure_milp_reuse_rates_gated(problem)
         ratio = rates["reuse_vs_rebuild"]
@@ -86,14 +67,12 @@ def main() -> int:
     if failures:
         print("perf-check FAILED "
               f"(bars: delta >= x{MIN_DELTA_RATIO:.0f}, "
-              f"batch >= x{MIN_BATCH_RATIO:.0f}, "
               f"milp reuse >= x{MIN_MILP_REUSE_RATIO:.1f}):")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"perf-check OK: delta >= x{MIN_DELTA_RATIO:.0f} and "
-          f"batch >= x{MIN_BATCH_RATIO:.0f} interpreted evaluation, "
-          f"milp rebind >= x{MIN_MILP_REUSE_RATIO:.1f} rebuild "
+    print(f"perf-check OK: delta >= x{MIN_DELTA_RATIO:.0f} interpreted "
+          f"evaluation, milp rebind >= x{MIN_MILP_REUSE_RATIO:.1f} rebuild "
           "on the probe shapes")
     return 0
 
