@@ -4,7 +4,7 @@ Measures, and records into ``BENCH_repair.json`` at the repo root:
 
 * per-case wall times for :func:`repro.mapping.repair.solve_repair`
   (seeded from the deployed mapping) and for a from-scratch
-  :func:`repro.service.portfolio.solve_portfolio` on the same degraded
+  :func:`repro.mapping.portfolio.solve_portfolio` on the same degraded
   machine, plus their ratio — the headline "repair is cheaper than
   re-solving" number, recorded for the trajectory and never asserted
   (wall clock is load-sensitive on the CI box);
@@ -28,7 +28,7 @@ from repro.gpu.delta import PlatformDelta, apply_deltas
 from repro.gpu.platforms import build_platform
 from repro.mapping.problem import build_mapping_problem
 from repro.mapping.repair import solve_repair
-from repro.service.portfolio import solve_portfolio
+from repro.mapping.portfolio import solve_portfolio
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_repair.json"
 

@@ -15,7 +15,7 @@ paper's technique or the baselines it compares against:
                    ``"lpt"``                   workload-only balancing [7]
                    ``"roundrobin"``            topological round-robin
                    ``"portfolio"``             anytime solver escalation
-                                               (:mod:`repro.service.portfolio`)
+                                               (:mod:`repro.mapping.portfolio`)
 =================  ==========================  ===========================
 
 ``peer_to_peer=False`` additionally reroutes all inter-GPU traffic through
@@ -43,7 +43,7 @@ from repro.graph.stream_graph import StreamGraph
 from repro.gpu.kernel import KernelConfig
 from repro.gpu.simulator import KernelMeasurement, KernelSimulator
 from repro.gpu.specs import GpuSpec, M2090
-from repro.gpu.topology import GpuTopology, default_topology
+from repro.gpu.topology import GpuTopology, default_topology, topology_key_parts
 from repro.mapping.budget import SolveBudget
 from repro.mapping.kernel import EvalKernel
 from repro.mapping.greedy import (
@@ -51,7 +51,9 @@ from repro.mapping.greedy import (
     lpt_mapping,
     round_robin_mapping,
 )
+from repro.mapping.portfolio import solve_portfolio
 from repro.mapping.refine import refine_mapping
+from repro.mapping.repair import REPAIR_ALPHA, solve_repair
 from repro.mapping.problem import MappingProblem, build_mapping_problem
 from repro.mapping.result import MappingResult
 from repro.mapping.milp_model import MODEL_CACHE
@@ -135,32 +137,6 @@ def _engine_parts(
         "seed": simulator.seed,
         "params": asdict(params or ModelParams()),
     }
-
-
-def topology_key_parts(topology: GpuTopology) -> Dict[str, object]:
-    """The interconnect-identity knobs mapping/execution depend on.
-
-    Platform identity is *content-addressed*: the tree shape, every
-    per-link spec, and any per-leaf GPU specs all enter the key, so two
-    named platforms can never share a cached mapping unless they are
-    byte-identical machines.  Uniform homogeneous topologies keep the
-    original compact form (and hence their pre-existing cache entries).
-    """
-    parts: Dict[str, object] = {
-        "parents": topology.tree_edges(),
-        "num_gpus": topology.num_gpus,
-        "link_spec": asdict(topology.link_spec),
-    }
-    if not topology.uniform_links:
-        # only uplinks: both directions of an edge share one spec
-        parts["edge_specs"] = {
-            link.child: asdict(link.spec)
-            for link in topology.links
-            if link.up and link.spec != topology.link_spec
-        }
-    if topology.gpu_specs is not None:
-        parts["gpu_specs"] = [asdict(spec) for spec in topology.gpu_specs]
-    return parts
 
 
 def _cache_get(cache, key: str):
@@ -637,7 +613,6 @@ def remap_stream_graph(
     """
     from repro.gpu.delta import degrade_platform
     from repro.gpu.platforms import build_platform
-    from repro.mapping.repair import REPAIR_ALPHA, solve_repair
 
     if partitioner not in PARTITIONERS:
         raise ValueError(f"unknown partitioner {partitioner!r}")
@@ -690,8 +665,6 @@ def _solve(
     solve_budget: Optional[SolveBudget] = None,
 ) -> MappingResult:
     if mapper == "portfolio":
-        from repro.service.portfolio import solve_portfolio
-
         answer = solve_portfolio(
             problem, budget=solve_budget,
             topo_order=pdg.topological_order(),

@@ -27,7 +27,7 @@ The named platform catalog lives in :mod:`repro.gpu.platforms`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.gpu.specs import PCIE_GEN2_X16, GpuSpec, LinkSpec
@@ -140,7 +140,7 @@ class GpuTopology:
         """The (child, parent) tree edges, sorted — together with
         ``num_gpus``, the per-link specs, and ``gpu_specs`` this is the
         topology's complete identity (the sweep engine keys cached
-        mappings on it; see :func:`repro.flow.topology_key_parts`)."""
+        mappings on it; see :func:`topology_key_parts`)."""
         return sorted(self._parent.items())
 
     @property
@@ -332,6 +332,32 @@ class GpuTopology:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GpuTopology(gpus={self.num_gpus}, links={self.num_links})"
+
+
+def topology_key_parts(topology: GpuTopology) -> Dict[str, object]:
+    """The interconnect-identity knobs mapping/execution depend on.
+
+    Platform identity is *content-addressed*: the tree shape, every
+    per-link spec, and any per-leaf GPU specs all enter the key, so two
+    named platforms can never share a cached mapping unless they are
+    byte-identical machines.  Uniform homogeneous topologies keep the
+    original compact form (and hence their pre-existing cache entries).
+    """
+    parts: Dict[str, object] = {
+        "parents": topology.tree_edges(),
+        "num_gpus": topology.num_gpus,
+        "link_spec": asdict(topology.link_spec),
+    }
+    if not topology.uniform_links:
+        # only uplinks: both directions of an edge share one spec
+        parts["edge_specs"] = {
+            link.child: asdict(link.spec)
+            for link in topology.links
+            if link.up and link.spec != topology.link_spec
+        }
+    if topology.gpu_specs is not None:
+        parts["gpu_specs"] = [asdict(spec) for spec in topology.gpu_specs]
+    return parts
 
 
 def gpu_name(gpu: int) -> str:

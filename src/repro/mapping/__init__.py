@@ -14,12 +14,16 @@
 * :mod:`repro.mapping.batch` -- vectorized population scoring over the
   kernel's tables (NumPy structure-of-arrays; no solver uses it, the
   benchmark's batch-throughput probe measures it),
+* :mod:`repro.mapping.portfolio` -- the anytime solver ladder every
+  service solve runs: greedy seeds -> refine -> branch-and-bound ->
+  MILP under a budget tier,
 * :mod:`repro.mapping.repair` -- incremental re-mapping after a
-  platform delta (seed from the old assignment, evict the stranded,
-  polish under ``tmax + alpha * migration_bytes``),
+  platform delta: refine's move loop on ``tmax + alpha *
+  migration_bytes`` from an LPT-filled seed, with the portfolio as its
+  fallback,
 * :mod:`repro.mapping.result` -- mapping results and their breakdowns,
 * :mod:`repro.mapping.budget` -- deterministic solve budgets shared by
-  every backend (and the escalation tiers of the service portfolio).
+  every backend (and the escalation tiers of the portfolio).
 """
 
 from repro.mapping.batch import BatchEvaluator

@@ -12,7 +12,7 @@ opt-in (the ``time_limit_s`` field, or the ``REPRO_MILP_TIME_LIMIT_S``
 environment variable for the old behaviour).
 
 Budgets are also the currency of the anytime solver portfolio
-(:mod:`repro.service.portfolio`): the named *tiers* below form an
+(:mod:`repro.mapping.portfolio`): the named *tiers* below form an
 escalation ladder — each tier is a strict superset of the work of the
 one before it, which is what makes the portfolio's answer quality
 monotone in the budget.

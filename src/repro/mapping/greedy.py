@@ -12,14 +12,15 @@ crudest pipeline mapping, used by the ablation benchmarks.
 Each heuristic is split into an ``*_assignment`` function that builds
 the raw assignment (no scoring at all) and a ``*_mapping`` wrapper that
 scores it into a :class:`~repro.mapping.result.MappingResult`.  The
-solver portfolio uses the assignment forms and ranks the seeds through
-the compiled kernel (:mod:`repro.mapping.kernel`) in one batch instead
-of paying a full interpreted evaluation per seed.
+solver portfolio and the repair solver take the assignment forms from
+:func:`greedy_seeds` and rank them through the compiled kernel
+(:mod:`repro.mapping.kernel`) in one batch instead of paying a full
+interpreted evaluation per seed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.mapping.problem import MappingProblem
 from repro.mapping.result import MappingResult, make_result
@@ -30,14 +31,38 @@ def lpt_assignment(
     workloads: Optional[Sequence[float]] = None,
 ) -> List[int]:
     """The LPT assignment itself, unscored (see :func:`lpt_mapping`)."""
+    return lpt_fill(problem, [None] * problem.num_partitions, workloads)
+
+
+def lpt_fill(
+    problem: MappingProblem,
+    partial: Sequence[Optional[int]],
+    workloads: Optional[Sequence[float]] = None,
+) -> List[int]:
+    """Complete ``partial`` by LPT: the ``None`` entries are placed
+    heaviest first, each on the GPU where it finishes earliest
+    (slowdown-aware), on top of the load the placed entries already
+    carry.  An all-``None`` partial is plain LPT; the repair solver
+    passes the survivors of a platform delta and fills the evicted.
+
+    >>> from repro.gpu.topology import default_topology
+    >>> p = MappingProblem(times=[4.0, 3.0, 2.0, 1.0], edges={},
+    ...                    host_io=[(0.0, 0.0)] * 4,
+    ...                    topology=default_topology(2))
+    >>> lpt_fill(p, [0, None, None, 0])
+    [0, 1, 1, 0]
+    """
     weights = list(workloads) if workloads is not None else list(problem.times)
     if len(weights) != problem.num_partitions:
         raise ValueError("workload vector length mismatch")
     slowdown = problem.gpu_slowdown or [1.0] * problem.num_gpus
-    order = sorted(range(problem.num_partitions), key=lambda p: -weights[p])
     loads = [0.0] * problem.num_gpus
-    assignment = [0] * problem.num_partitions
-    for pid in order:
+    for pid, gpu in enumerate(partial):
+        if gpu is not None:
+            loads[gpu] += weights[pid] * slowdown[gpu]
+    assignment = [0 if gpu is None else gpu for gpu in partial]
+    holes = [pid for pid, gpu in enumerate(partial) if gpu is None]
+    for pid in sorted(holes, key=lambda p: -weights[p]):
         gpu = min(
             range(problem.num_gpus),
             key=lambda j: loads[j] + weights[pid] * slowdown[j],
@@ -137,6 +162,29 @@ def contiguous_assignment(
         assignment[pid] = gpu
         acc += t
     return assignment
+
+
+def greedy_seeds(
+    problem: MappingProblem,
+    order: Optional[Sequence[int]] = None,
+) -> List[Tuple[str, List[int]]]:
+    """The three greedy seeds, unscored, as ``(solver name, assignment)``
+    pairs: LPT, round-robin, and contiguous blocks over ``order`` (a
+    topological order; omitted, index order).  The portfolio's stage 1
+    and the repair solver's quality floor both rank exactly these.
+
+    >>> from repro.gpu.topology import default_topology
+    >>> p = MappingProblem(times=[3.0, 1.0, 1.0, 1.0], edges={},
+    ...                    host_io=[(0.0, 0.0)] * 4,
+    ...                    topology=default_topology(2))
+    >>> greedy_seeds(p)
+    [('greedy-lpt', [0, 1, 1, 1]), ('round-robin', [0, 1, 0, 1]), ('contiguous', [0, 1, 1, 1])]
+    """
+    return [
+        ("greedy-lpt", lpt_assignment(problem)),
+        ("round-robin", round_robin_assignment(problem)),
+        ("contiguous", contiguous_assignment(problem, order)),
+    ]
 
 
 def contiguous_mapping(

@@ -65,6 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
+from repro.gpu.topology import topology_key_parts
 from repro.mapping.budget import SolveBudget
 from repro.mapping.problem import MappingProblem
 
@@ -208,8 +209,8 @@ def milp_signature(
     Everything that shapes the *sparsity structure* enters: partition
     and GPU counts, the edge-list structure, broadcast groups, the
     host-IO sparsity pattern, routing mode, ``include_comm``, the full
-    platform content (via :func:`repro.flow.topology_key_parts` — per
-    link specs included, so "same machine" means byte-identical
+    platform content (via :func:`~repro.gpu.topology.topology_key_parts`
+    — per link specs included, so "same machine" means byte-identical
     machine), and the symmetry-breaking orbit.  Numeric payload
     (compute times, byte counts, big-M, budget knobs) deliberately stays
     out — it is rebound per solve.
@@ -227,8 +228,6 @@ def milp_signature(
     >>> milp_signature(a) == milp_signature(a, include_comm=False)
     False
     """
-    from repro.flow import topology_key_parts  # local: avoids an import cycle
-
     machine = json.dumps(
         topology_key_parts(problem.topology), sort_keys=True,
         separators=(",", ":"), default=str,

@@ -5,8 +5,9 @@ matter how little budget the caller grants, and must never answer worse
 for a *larger* budget.  The portfolio delivers both by escalating
 through the solver ladder under a :class:`~repro.mapping.SolveBudget`:
 
-1. **greedy** — LPT, round-robin, and contiguous-blocks heuristics:
-   microseconds, always feasible;
+1. **greedy** — LPT, round-robin, and contiguous-blocks heuristics
+   (:func:`~repro.mapping.greedy.greedy_seeds`): microseconds, always
+   feasible;
 2. **refine** — a local-search polish of the greedy winner, capped at
    ``budget.refine_steps`` steps;
 3. **branch-and-bound** — the from-scratch exact solver, seeded with the
@@ -21,9 +22,14 @@ solve and shared by every stage: greedy seeds are ranked in a single
 kernel batch, the refine stage scores moves through the delta evaluator,
 and the branch-and-bound stage searches on the kernel's route tables —
 the interpreted evaluator is never touched on the hot path (kernel
-scores are bit-identical to it, so answers are unchanged).  Budget tiers form strict supersets of work (see
-:mod:`repro.mapping.budget`), which gives the *anytime monotonicity*
-guarantee the service tests pin: ``tmax(tier k) >= tmax(tier k+1)``.
+scores are bit-identical to it, so answers are unchanged).  Budget
+tiers form strict supersets of work (see :mod:`repro.mapping.budget`),
+which gives the *anytime monotonicity* guarantee the service tests pin:
+``tmax(tier k) >= tmax(tier k+1)``.
+
+The repair path (:mod:`repro.mapping.repair`) is built from the same
+rungs: its quality floor is these greedy seeds, its polish is refine's
+move loop, and its fallback is this portfolio.
 
 ``deadline_s`` adds an opt-in wall-clock stop checked *between* stages:
 the portfolio never abandons a stage midway, it just stops escalating.
@@ -51,44 +57,14 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.mapping.budget import BUDGET_TIERS, SolveBudget
-from repro.mapping.greedy import (
-    contiguous_assignment,
-    lpt_assignment,
-    round_robin_assignment,
-)
+from repro.mapping.budget import SolveBudget
+from repro.mapping.greedy import greedy_seeds
 from repro.mapping.kernel import EvalKernel
 from repro.mapping.problem import MappingProblem
 from repro.mapping.refine import refine_mapping
 from repro.mapping.result import MappingResult, make_result
 from repro.mapping.solver_bb import solve_branch_and_bound
 from repro.mapping.solver_milp import MilpNoIncumbent, solve_milp
-
-#: deadline-to-tier downgrade ladder: (minimum remaining seconds, tier).
-#: Scanned top-down; the first row whose threshold still fits wins.
-DEADLINE_TIERS: Tuple[Tuple[float, str], ...] = (
-    (5.0, "ample"),
-    (1.0, "default"),
-    (0.2, "small"),
-    (0.0, "instant"),
-)
-
-
-def tier_for_deadline(remaining_s: float) -> str:
-    """The richest budget tier that typically fits ``remaining_s``.
-
-    The thresholds are deliberately coarse — they pick how hard to *try*,
-    not a hard guarantee; the portfolio's between-stage deadline check
-    handles the rest.
-
-    >>> tier_for_deadline(10.0), tier_for_deadline(0.5), tier_for_deadline(0.01)
-    ('ample', 'small', 'instant')
-    """
-    for threshold, tier in DEADLINE_TIERS:
-        if remaining_s >= threshold:
-            return tier
-    return "instant"
-
 
 @dataclass(frozen=True)
 class StageOutcome:
@@ -193,16 +169,7 @@ def solve_portfolio(
     # -- stage 1: greedy heuristics (always run; instant) ---------------
     # seeds are built unscored and ranked in one kernel batch; only the
     # winner is materialized into a MappingResult (kernel-scored too)
-    order = (
-        list(topo_order)
-        if topo_order is not None
-        else list(range(problem.num_partitions))
-    )
-    seeds = [
-        ("greedy-lpt", lpt_assignment(problem)),
-        ("round-robin", round_robin_assignment(problem)),
-        ("contiguous", contiguous_assignment(problem, order)),
-    ]
+    seeds = greedy_seeds(problem, topo_order)
     scores = kernel.batch_tmax(assignment for _name, assignment in seeds)
     winner = min(range(len(seeds)), key=scores.__getitem__)
     stage_best = make_result(

@@ -16,12 +16,15 @@ The search is deterministic and stops at a local optimum or the step
 budget (historically 1000 steps; now that a step costs microseconds the
 default budget is 10x larger, which changes nothing on instances that
 converge — first-improvement search almost always does — and simply
-stops truncating the rare pathological ones).
+stops truncating the rare pathological ones).  The single-move loop,
+:func:`first_improving_move`, is also the repair solver's polish
+(:mod:`repro.mapping.repair`), there priced by ``tmax + alpha *
+migration_bytes``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.mapping.kernel import DeltaEvaluator, EvalKernel
 from repro.mapping.problem import MappingProblem
@@ -55,12 +58,12 @@ def refine_mapping(
         kernel = EvalKernel(problem)
     state = DeltaEvaluator(kernel, assignment)
     best = state.tmax()
-    order = _by_weight(problem)  # descending workload, computed once
+    order = heaviest_first(problem)  # computed once
     steps = 0
     improved = True
     while improved and steps < max_steps:
         improved = False
-        move = _best_single_move(state, order, best)
+        move = first_improving_move(state, order, best, state.score_move)
         if move is not None:
             pid, gpu, score = move
             state.apply_move(pid, gpu)
@@ -83,10 +86,20 @@ def refine_mapping(
     return result
 
 
-def _best_single_move(
-    state: DeltaEvaluator, order: Sequence[int], best: float
+def first_improving_move(
+    state: DeltaEvaluator,
+    order: Sequence[int],
+    best: float,
+    score_move: Callable[[int, int], float],
 ) -> Optional[Tuple[int, int, float]]:
-    """First strictly-improving single-partition move, if any."""
+    """First strictly-improving single-partition move, if any.
+
+    Scans the partitions in ``order`` and, for each, every other GPU in
+    id order; returns ``(pid, gpu, score)`` for the first candidate
+    whose ``score_move(pid, gpu)`` falls below ``best - 1e-9``.  Refine
+    prices a move by the kernel's exact tmax (``state.score_move``); the
+    repair solver adds ``alpha * migration_bytes``.
+    """
     num_gpus = state.kernel.num_gpus
     assign = state.assign
     for pid in order:
@@ -94,7 +107,7 @@ def _best_single_move(
         for gpu in range(num_gpus):
             if gpu == original:
                 continue
-            score = state.score_move(pid, gpu)
+            score = score_move(pid, gpu)
             if score < best - 1e-9:
                 return pid, gpu, score
     return None
@@ -115,7 +128,7 @@ def _best_swap(
     return None
 
 
-def _by_weight(problem: MappingProblem) -> List[int]:
+def heaviest_first(problem: MappingProblem) -> List[int]:
     """Partitions in descending workload order (heavy movers first)."""
     return sorted(
         range(problem.num_partitions), key=lambda p: -problem.times[p]

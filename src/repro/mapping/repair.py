@@ -3,10 +3,10 @@
 A serving system holding a deployed mapping should not pay a from-scratch
 portfolio solve — nor migrate every actor — each time the machine
 degrades.  :func:`solve_repair` takes the *old* assignment (translated
-through the delta's GPU renumbering), evicts actors stranded on dead
-GPUs via greedy re-placement, and polishes with the same first-improvement
-local search as :mod:`repro.mapping.refine` — but over the composite
-repair objective
+through the delta's GPU renumbering), keeps the survivors home, LPT-fills
+the actors stranded on dead GPUs, and runs refine's move loop
+(:func:`repro.mapping.refine.first_improving_move`) from that seed on
+the composite repair objective
 
     ``J = tmax + alpha * migration_bytes``
 
@@ -25,13 +25,13 @@ Guarantees, pinned by ``tests/test_repair.py``:
   ``MappingProblem.tmax`` on the degraded platform bit for bit;
 * **determinism** — no randomness, no wall clock: back-to-back calls
   are bit-identical;
-* **never worse than greedy-from-scratch** — the greedy floor (LPT /
-  round-robin / contiguous, the portfolio's stage-1 seeds) is always
-  computed; when the repaired ``tmax`` exceeds it, or the delta evicted
-  more than half the actors, the call falls back to a full
-  :func:`~repro.service.portfolio.solve_portfolio` solve under the same
-  budget (which starts from those very seeds, so the floor holds on
-  every path).
+* **never worse than greedy-from-scratch** — the greedy floor
+  (:func:`~repro.mapping.greedy.greedy_seeds`, the portfolio's stage-1
+  seeds) is always computed; when the repaired ``tmax`` exceeds it, or
+  the delta evicted more than half the actors, the call falls back to a
+  full :func:`~repro.mapping.portfolio.solve_portfolio` solve under the
+  same budget (which starts from those very seeds, so the floor holds
+  on every path).
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.mapping.budget import SolveBudget
-from repro.mapping.greedy import (
-    contiguous_assignment,
-    lpt_assignment,
-    round_robin_assignment,
-)
+from repro.mapping.greedy import greedy_seeds, lpt_fill
 from repro.mapping.kernel import DeltaEvaluator, EvalKernel
+from repro.mapping.portfolio import solve_portfolio
 from repro.mapping.problem import MappingProblem
+from repro.mapping.refine import first_improving_move, heaviest_first
 from repro.mapping.result import MappingResult, make_result
 
 #: default migration price, in objective-ns per byte moved.  Fragment
@@ -205,111 +203,32 @@ def solve_repair(
     # the greedy-from-scratch floor: the portfolio's own stage-1 seeds,
     # ranked in one kernel batch.  Computed unconditionally — it is both
     # the quality gate and the recorded baseline.
-    order = (
-        list(topo_order)
-        if topo_order is not None
-        else list(range(problem.num_partitions))
-    )
-    seeds = [
-        lpt_assignment(problem),
-        round_robin_assignment(problem),
-        contiguous_assignment(problem, order),
-    ]
-    greedy_tmax = min(kernel.batch_tmax(seeds))
+    greedy_tmax = min(kernel.batch_tmax(
+        assignment for _name, assignment in greedy_seeds(problem, topo_order)
+    ))
 
     destructive = (
         problem.num_partitions > 0
         and len(evicted) / problem.num_partitions > DESTRUCTIVE_EVICTION_FRACTION
     )
-    if destructive:
-        return _fallback(
-            problem, budget, alpha, translated, evicted, cost,
-            greedy_tmax, seed_tmax=float("inf"), topo_order=topo_order,
+    mapping, seed_tmax, moves = None, float("inf"), 0
+    if not destructive:
+        mapping, seed_tmax, moves = _repair_in_place(
+            problem, kernel, translated, cost, alpha, budget.refine_steps
         )
-
-    # -- seed: keep survivors home, re-place evicted actors greedily ----
-    # (heaviest first onto the least-loaded GPU, slowdown-aware — the
-    # same LPT rule as the greedy baseline, applied only to the holes)
-    slowdown = problem.gpu_slowdown or [1.0] * problem.num_gpus
-    loads = [0.0] * problem.num_gpus
-    for pid, gpu in enumerate(translated):
-        if gpu is not None:
-            loads[gpu] += problem.times[pid] * slowdown[gpu]
-    seed: List[int] = [gpu if gpu is not None else 0 for gpu in translated]
-    for pid in sorted(evicted, key=lambda p: (-problem.times[p], p)):
-        gpu = min(
-            range(problem.num_gpus),
-            key=lambda j: (loads[j] + problem.times[pid] * slowdown[j], j),
-        )
-        seed[pid] = gpu
-        loads[gpu] += problem.times[pid] * slowdown[gpu]
-
-    # -- local search on the composite objective ------------------------
-    # home[pid] is where the partition already runs (None for evicted
-    # actors, which count as migrated wherever they land)
-    home: List[Optional[int]] = translated
-    state = DeltaEvaluator(kernel, seed)
-    seed_tmax = state.tmax()
-    migration = sum(
-        cost[pid] for pid in range(problem.num_partitions)
-        if home[pid] != seed[pid]
-    )
-    objective = seed_tmax + alpha * migration
-    search_order = sorted(
-        range(problem.num_partitions), key=lambda p: -problem.times[p]
-    )
-    moves = 0
-    improved = True
-    while improved and moves < budget.refine_steps:
-        improved = False
-        assign = state.assign
-        for pid in search_order:
-            original = assign[pid]
-            away = cost[pid] if home[pid] is not None else 0.0
-            base_migration = migration - (away if original != home[pid] else 0.0)
-            for gpu in range(problem.num_gpus):
-                if gpu == original:
-                    continue
-                candidate_migration = base_migration + (
-                    away if gpu != home[pid] else 0.0
-                )
-                score = (
-                    state.score_move(pid, gpu)
-                    + alpha * candidate_migration
-                )
-                if score < objective - 1e-9:
-                    state.apply_move(pid, gpu)
-                    objective = score
-                    migration = candidate_migration
-                    moves += 1
-                    improved = True
-                    break
-            if improved:
-                break
-
-    repaired = list(state.assignment())
+    # too destructive to seed from, or beaten by greedy: solve from
+    # scratch (the portfolio starts from those very seeds)
+    fallback = mapping is None or mapping.tmax > greedy_tmax
+    if fallback:
+        mapping = solve_portfolio(
+            problem, budget=budget, topo_order=topo_order
+        ).mapping
+        moves = 0
     migrated = tuple(
         pid for pid in range(problem.num_partitions)
-        if home[pid] != repaired[pid]
+        if translated[pid] != mapping.assignment[pid]
     )
     migration_bytes = sum(cost[pid] for pid in migrated)
-    # the standing invariant: the returned incumbent is rescored through
-    # the kernel's full evaluation, bit-identical to MappingProblem.tmax
-    mapping = make_result(
-        problem, repaired,
-        "repair[local-search]" if moves else "repair[seed]",
-        optimal=False,
-        stats=(
-            ("repair_moves", float(moves)),
-            ("repair_evicted", float(len(evicted))),
-        ),
-        kernel=kernel,
-    )
-    if mapping.tmax > greedy_tmax:
-        return _fallback(
-            problem, budget, alpha, translated, evicted, cost,
-            greedy_tmax, seed_tmax=seed_tmax, topo_order=topo_order,
-        )
     return RepairResult(
         mapping=mapping,
         budget=budget.name,
@@ -318,46 +237,62 @@ def solve_repair(
         evicted=evicted,
         migration_bytes=migration_bytes,
         objective=mapping.tmax + alpha * migration_bytes,
-        fallback=False,
+        fallback=fallback,
         seed_tmax=seed_tmax,
         greedy_tmax=greedy_tmax,
         moves=moves,
     )
 
 
-def _fallback(
+def _repair_in_place(
     problem: MappingProblem,
-    budget: SolveBudget,
-    alpha: float,
+    kernel: EvalKernel,
     home: Sequence[Optional[int]],
-    evicted: Tuple[int, ...],
     cost: Sequence[float],
-    greedy_tmax: float,
-    seed_tmax: float,
-    topo_order: Optional[Sequence[int]],
-) -> RepairResult:
-    """From-scratch portfolio solve, wrapped in repair provenance."""
-    # lazy import: repro.mapping must not depend on the service layer at
-    # module import time (the portfolio already imports this package)
-    from repro.service.portfolio import solve_portfolio
+    alpha: float,
+    max_moves: int,
+) -> Tuple[MappingResult, float, int]:
+    """Refine's move loop on ``tmax + alpha * migration_bytes`` from an
+    LPT-filled seed: survivors stay on their ``home`` GPU, evicted actors
+    (``None``) count as migrated wherever they land.  Returns the
+    kernel-rescored mapping, the seed's tmax, and the moves applied."""
+    seed = lpt_fill(problem, home)
+    state = DeltaEvaluator(kernel, seed)
+    seed_tmax = state.tmax()
+    migration = sum(
+        cost[pid] for pid in range(problem.num_partitions)
+        if home[pid] != seed[pid]
+    )
+    objective = seed_tmax + alpha * migration
 
-    answer = solve_portfolio(problem, budget=budget, topo_order=topo_order)
-    repaired = answer.mapping.assignment
-    migrated = tuple(
-        pid for pid in range(problem.num_partitions)
-        if home[pid] != repaired[pid]
+    def migration_after(pid: int, gpu: int) -> float:
+        away = cost[pid] if home[pid] is not None else 0.0
+        stays = migration - (away if state.assign[pid] != home[pid] else 0.0)
+        return stays + (away if gpu != home[pid] else 0.0)
+
+    def score_move(pid: int, gpu: int) -> float:
+        return state.score_move(pid, gpu) + alpha * migration_after(pid, gpu)
+
+    order = heaviest_first(problem)
+    moves = 0
+    while moves < max_moves:
+        move = first_improving_move(state, order, objective, score_move)
+        if move is None:
+            break
+        pid, gpu, objective = move
+        migration = migration_after(pid, gpu)
+        state.apply_move(pid, gpu)
+        moves += 1
+    # the standing invariant: the returned incumbent is rescored through
+    # the kernel's full evaluation, bit-identical to MappingProblem.tmax
+    mapping = make_result(
+        problem, list(state.assignment()),
+        "repair[local-search]" if moves else "repair[seed]",
+        optimal=False,
+        stats=(
+            ("repair_moves", float(moves)),
+            ("repair_evicted", float(home.count(None))),
+        ),
+        kernel=kernel,
     )
-    migration_bytes = sum(cost[pid] for pid in migrated)
-    return RepairResult(
-        mapping=answer.mapping,
-        budget=budget.name,
-        alpha=alpha,
-        migrated=migrated,
-        evicted=evicted,
-        migration_bytes=migration_bytes,
-        objective=answer.mapping.tmax + alpha * migration_bytes,
-        fallback=True,
-        seed_tmax=seed_tmax,
-        greedy_tmax=greedy_tmax,
-        moves=0,
-    )
+    return mapping, seed_tmax, moves

@@ -10,13 +10,11 @@ from four pieces:
 * :mod:`repro.service.queue` — a priority/FIFO work queue;
 * :mod:`repro.service.jobs` — the persistent job store (one job per
   canonical key; dedup is the storage layout);
-* :mod:`repro.service.portfolio` — the anytime solver portfolio:
-  greedy instantly, branch-and-bound and MILP as the budget allows,
-  always a valid best-so-far mapping;
 * :mod:`repro.service.server` — :class:`MappingService`, tying them
   together over worker threads (or a process pool) and a shared
   :class:`~repro.sweep.StageCache`; its one ``submit`` admits, dedups,
-  runs and accounts for both request kinds;
+  runs and accounts for both request kinds, and downgrades a request's
+  budget tier to fit its deadline (:func:`tier_for_deadline`);
 * :mod:`repro.service.http` — the network front end (``/api/v1/solve``,
   ``/api/v1/remap``, ``/api/v1/batch``, ``/api/v1/jobs/<key>``,
   ``/metrics``, ``/healthz``), byte-identical to the stdio wire format;
@@ -27,6 +25,12 @@ from four pieces:
   deployed mapping plus a :class:`~repro.gpu.delta.PlatformDelta` list
   in, an incrementally repaired mapping out
   (:func:`repro.mapping.repair.solve_repair` under the hood).
+
+The anytime solver portfolio every solve escalates through —
+greedy instantly, branch-and-bound and MILP as the budget allows,
+always a valid best-so-far mapping — lives with the solvers in
+:mod:`repro.mapping.portfolio`; :func:`solve_portfolio` and its result
+types are re-exported here.
 
 Quick round trip::
 
@@ -72,12 +76,6 @@ from repro.service.remap import (
     remap_to_json,
     solve_remap_request,
 )
-from repro.service.portfolio import (
-    PortfolioResult,
-    StageOutcome,
-    solve_portfolio,
-    tier_for_deadline,
-)
 from repro.service.queue import WorkQueue
 from repro.service.server import (
     MappingService,
@@ -85,8 +83,14 @@ from repro.service.server import (
     ServiceStats,
     Ticket,
     solve_request,
+    tier_for_deadline,
 )
 from repro.mapping.budget import BUDGET_TIERS, TIER_ORDER, SolveBudget
+from repro.mapping.portfolio import (
+    PortfolioResult,
+    StageOutcome,
+    solve_portfolio,
+)
 
 __all__ = [
     "Admission",

@@ -79,14 +79,20 @@ class RemapRequest:
             raise ValueError("alpha must be non-negative")
         # apply the script now so an illegal delta (kill the last GPU,
         # unknown edge child, ...) fails at validation, not mid-solve
-        degrade_platform(self.base.platform, self.deltas)
+        degraded = degrade_platform(self.base.platform, self.deltas)
         if self.old_assignment is not None:
+            # ids name GPUs of the pristine platform; a bool is not an id
+            num_gpus = len(degraded.gpu_map)
             bad = [
                 g for g in self.old_assignment
-                if not isinstance(g, int) or g < 0
+                if isinstance(g, bool) or not isinstance(g, int)
+                or not 0 <= g < num_gpus
             ]
             if bad:
-                raise ValueError(f"old_assignment has bad GPU ids: {bad}")
+                raise ValueError(
+                    f"old_assignment has bad GPU ids: {bad} "
+                    f"({self.base.platform} has {num_gpus} GPUs)"
+                )
 
 
 def remap_request_key(

@@ -72,7 +72,6 @@ from repro.service.api import (
     request_to_json,
 )
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobStore
-from repro.service.portfolio import tier_for_deadline
 from repro.service.queue import WorkQueue
 from repro.service.remap import (
     RemapRequest,
@@ -85,6 +84,32 @@ from repro.sweep.cache import StageCache
 
 class ServiceError(RuntimeError):
     """A job failed; carries the job's error message."""
+
+
+#: deadline-to-tier downgrade ladder: (minimum remaining seconds, tier).
+#: Scanned top-down; the first row whose threshold still fits wins.
+DEADLINE_TIERS: Tuple[Tuple[float, str], ...] = (
+    (5.0, "ample"),
+    (1.0, "default"),
+    (0.2, "small"),
+    (0.0, "instant"),
+)
+
+
+def tier_for_deadline(remaining_s: float) -> str:
+    """The richest budget tier that typically fits ``remaining_s``.
+
+    The thresholds are deliberately coarse — they pick how hard to *try*,
+    not a hard guarantee; the portfolio's between-stage deadline check
+    handles the rest.
+
+    >>> tier_for_deadline(10.0), tier_for_deadline(0.5), tier_for_deadline(0.01)
+    ('ample', 'small', 'instant')
+    """
+    for threshold, tier in DEADLINE_TIERS:
+        if remaining_s >= threshold:
+            return tier
+    return "instant"
 
 
 def solve_request(

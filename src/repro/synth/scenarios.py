@@ -38,6 +38,9 @@ from repro.gpu.delta import (
     relative_gpu_map,
 )
 from repro.gpu.platforms import PLATFORM_NAMES, build_platform
+from repro.mapping.portfolio import solve_portfolio
+from repro.mapping.problem import build_mapping_problem
+from repro.mapping.repair import solve_repair
 from repro.synth.rng import SynthRng
 
 #: scenario event vocabulary: platform events wrap a
@@ -320,10 +323,6 @@ def replay_scenario(
     >>> report.ok
     True
     """
-    from repro.mapping.problem import build_mapping_problem
-    from repro.mapping.repair import solve_repair
-    from repro.service.portfolio import solve_portfolio
-
     base = build_platform(scenario.platform)
     report = ScenarioReport(platform=scenario.platform, seed=scenario.seed)
 
@@ -448,10 +447,6 @@ def repair_check(
     >>> report.ok                # doctest: +SKIP
     True
     """
-    from repro.mapping.problem import build_mapping_problem
-    from repro.mapping.repair import solve_repair
-    from repro.service.portfolio import solve_portfolio
-
     report = RepairCheckReport()
     pdgs = {
         (app, n): _front_half(app, n, cache=cache)

@@ -29,6 +29,7 @@ DOCTEST_MODULES = [
     "repro.mapping.budget",
     "repro.mapping.greedy",
     "repro.mapping.kernel",
+    "repro.mapping.portfolio",
     "repro.mapping.problem",
     "repro.mapping.refine",
     "repro.mapping.repair",
@@ -40,7 +41,6 @@ DOCTEST_MODULES = [
     "repro.service.api",
     "repro.service.http",
     "repro.service.jobs",
-    "repro.service.portfolio",
     "repro.service.queue",
     "repro.service.remap",
     "repro.service.server",

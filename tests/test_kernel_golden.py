@@ -25,7 +25,7 @@ from repro.mapping.budget import SolveBudget
 from repro.mapping.greedy import lpt_mapping
 from repro.mapping.refine import refine_mapping
 from repro.mapping.solver_bb import solve_branch_and_bound
-from repro.service.portfolio import solve_portfolio
+from repro.mapping.portfolio import solve_portfolio
 from repro.synth.corpus import PINNED_CORPUS, generate_corpus
 
 GOLDEN = Path(__file__).parent / "golden" / "kernel" / "pinned_solver_outputs.json"

@@ -25,11 +25,9 @@ from repro.mapping.budget import (
 from repro.mapping.problem import MappingProblem, build_mapping_problem
 from repro.mapping.solver_bb import solve_branch_and_bound
 from repro.mapping.solver_milp import MilpNoIncumbent, solve_milp
-from repro.service import portfolio as portfolio_mod
-from repro.service.portfolio import (
-    solve_portfolio,
-    tier_for_deadline,
-)
+from repro.mapping import portfolio as portfolio_mod
+from repro.mapping.portfolio import solve_portfolio
+from repro.service.server import tier_for_deadline
 from repro.synth.corpus import PINNED_CORPUS, generate_corpus
 from repro.synth.diffcheck import REL_TOL
 

@@ -25,7 +25,7 @@ from repro.mapping import (
     solve_repair,
     translate_assignment,
 )
-from repro.service.portfolio import solve_portfolio
+from repro.mapping.portfolio import solve_portfolio
 
 
 def _pdg(app="Bitonic", n=8):

@@ -236,6 +236,30 @@ class TestHostileInput:
                 assert service.stats().submitted == 0
                 assert _post(url, SOLVE_LINE)[0] == 200
 
+    @pytest.mark.parametrize("old_assignment", [
+        [9, 9, 9, 9, 9, 9],  # host-star has 4 GPUs
+        [True, False, True, False, True, False],  # bools are not ids
+    ], ids=["gpu-id-out-of-range", "bool-gpu-ids"])
+    def test_bad_old_assignment_is_refused_not_run(self, old_assignment):
+        """Both used to validate and solve: out-of-range ids counted every
+        partition as evicted and fell back to a full portfolio solve, and
+        ``true`` keyed a different remap than ``1``."""
+        body = json.loads(REMAP_BODY)
+        body["remap"]["old_assignment"] = old_assignment
+        line = json.dumps(body)
+        with MappingService(workers=1) as service:
+            with _server(service) as server:
+                status, reply, _ = _post(
+                    server.url + "/api/v1/remap", line.encode())
+                assert status == 400
+                assert "old_assignment" in json.loads(reply)["error"]
+            out = io.StringIO()
+            assert serve_stream(io.StringIO(line + "\n"), out, service) == 1
+            response = json.loads(out.getvalue())
+            assert response["state"] == "failed"
+            assert "old_assignment" in response["error"]
+            assert service.stats().submitted == 0
+
     def test_a_job_that_raises_resolves_and_spares_the_worker(self):
         """The rider contract: whatever raises while a job runs — here
         the deadline arithmetic, on a request built past the decoder —
